@@ -297,34 +297,38 @@ void ConcreteChannel::UplinkStream::push_block(Signal& x) {
   dsp::add_awgn(x, channel_->config().noise_sigma, rng_);
 }
 
+template <class Self, class Ar>
+void ConcreteChannel::DownlinkStream::io(Self& self, Ar& ar) {
+  ar.field("dls.pos", self.pos_);
+  ar.field("dls.hist", self.hist_);
+  ar.nested(self.resonator_);
+  ar.field("dls.rng", self.rng_);
+}
+
 void ConcreteChannel::DownlinkStream::save(dsp::ser::Writer& w) const {
-  w.u64("dls.pos", pos_);
-  w.real_vec("dls.hist", hist_);
-  resonator_.save(w);
-  w.rng("dls.rng", rng_);
+  io(*this, w);
 }
 
 void ConcreteChannel::DownlinkStream::load(dsp::ser::Reader& r) {
-  pos_ = r.u64("dls.pos");
-  hist_ = r.real_vec("dls.hist");
+  io(*this, r);
   if (hist_.size() != max_shift_) {
     throw std::runtime_error(
         "checkpoint: downlink tap delay line length mismatch");
   }
-  resonator_.load(r);
-  r.rng("dls.rng", rng_);
+}
+
+template <class Self, class Ar>
+void ConcreteChannel::UplinkStream::io(Self& self, Ar& ar) {
+  ar.nested(self.resonator_);
+  ar.value("uls.si_phase", self.si_.phase(),
+           [&](auto phase) { self.si_.reset_phase(phase); });
+  ar.field("uls.rng", self.rng_);
 }
 
 void ConcreteChannel::UplinkStream::save(dsp::ser::Writer& w) const {
-  resonator_.save(w);
-  w.real("uls.si_phase", si_.phase());
-  w.rng("uls.rng", rng_);
+  io(*this, w);
 }
 
-void ConcreteChannel::UplinkStream::load(dsp::ser::Reader& r) {
-  resonator_.load(r);
-  si_.reset_phase(r.real("uls.si_phase"));
-  r.rng("uls.rng", rng_);
-}
+void ConcreteChannel::UplinkStream::load(dsp::ser::Reader& r) { io(*this, r); }
 
 }  // namespace ecocap::channel

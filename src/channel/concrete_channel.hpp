@@ -127,6 +127,7 @@ class ConcreteChannel {
     void load(dsp::ser::Reader& r);
 
    private:
+    template <class Self, class Ar> static void io(Self& self, Ar& ar);
     const ConcreteChannel* channel_;
     std::vector<std::size_t> shifts_;  // per-tap delays, samples
     std::vector<Real> amps_;           // per-tap amplitudes (taps order)
@@ -161,6 +162,7 @@ class ConcreteChannel {
     void load(dsp::ser::Reader& r);
 
    private:
+    template <class Self, class Ar> static void io(Self& self, Ar& ar);
     const ConcreteChannel* channel_;
     Real gain_;
     dsp::Biquad resonator_;

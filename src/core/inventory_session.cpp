@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <utility>
 
 namespace ecocap::core {
@@ -106,28 +105,17 @@ void InventorySession::set_environment(std::uint16_t node_id,
   }
 }
 
-void InventorySession::save(dsp::ser::Writer& w) const {
-  w.rng("session.rng", rng_);
-  w.u64("session.pass", pass_);
-  w.u64("session.nodes", nodes_.size());
-  for (const auto& s : nodes_) s.firmware->save(w);
-  w.u64("session.supervised", supervisor_ ? 1 : 0);
-  if (supervisor_) supervisor_->save(w);
+template <class Self, class Ar>
+void InventorySession::io(Self& self, Ar& ar) {
+  ar.field("session.rng", self.rng_);
+  ar.field("session.pass", self.pass_);
+  ar.expect("session.nodes", self.nodes_.size());
+  for (auto& s : self.nodes_) ar.nested(*s.firmware);
+  ar.expect("session.supervised", self.supervisor_.has_value());
+  if (self.supervisor_) ar.nested(*self.supervisor_);
 }
 
-void InventorySession::load(dsp::ser::Reader& r) {
-  r.rng("session.rng", rng_);
-  pass_ = r.u64("session.pass");
-  const std::uint64_t n = r.u64("session.nodes");
-  if (n != nodes_.size()) {
-    throw std::runtime_error("checkpoint: deployed node count mismatch");
-  }
-  for (auto& s : nodes_) s.firmware->load(r);
-  const bool supervised = r.u64("session.supervised") != 0;
-  if (supervised != supervisor_.has_value()) {
-    throw std::runtime_error("checkpoint: supervisor enablement mismatch");
-  }
-  if (supervisor_) supervisor_->load(r);
-}
+void InventorySession::save(dsp::ser::Writer& w) const { io(*this, w); }
+void InventorySession::load(dsp::ser::Reader& r) { io(*this, r); }
 
 }  // namespace ecocap::core

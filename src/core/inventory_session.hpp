@@ -108,6 +108,7 @@ class InventorySession {
   void load(dsp::ser::Reader& r);
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   Config config_;
   /// Built once from the (immutable) structure; node_reachable used to
   /// construct a fresh LinkBudget per call inside the collect loop.

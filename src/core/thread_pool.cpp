@@ -1,8 +1,11 @@
 #include "core/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <string>
 
 namespace ecocap::core {
@@ -17,13 +20,20 @@ struct ThreadPool::Job {
 };
 
 unsigned ThreadPool::default_worker_count() {
-  if (const char* env = std::getenv("ECOCAP_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<unsigned>(v);
+  const unsigned hw = std::max(std::thread::hardware_concurrency(), 1u);
+  const char* env = std::getenv("ECOCAP_THREADS");
+  if (env == nullptr || *env == '\0') return hw;
+  char* end = nullptr;
+  const long v = std::strtol(env, &end, 10);  // saturates out of range
+  if (end != env && *end == '\0' && v > 0 &&
+      v <= std::numeric_limits<int>::max()) {
+    return static_cast<unsigned>(v);
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  std::fprintf(stderr,
+               "ecocap: invalid ECOCAP_THREADS=\"%s\" (want a positive "
+               "integer); using %u hardware threads\n",
+               env, hw);
+  return hw;
 }
 
 ThreadPool::ThreadPool(unsigned workers) {

@@ -30,7 +30,9 @@ class ThreadPool {
   /// Total workers participating in a job (spawned threads + the caller).
   unsigned size() const { return static_cast<unsigned>(threads_.size()) + 1; }
 
-  /// Worker count the default constructor would choose.
+  /// Worker count the default constructor would choose: ECOCAP_THREADS
+  /// when it is a positive integer, else the hardware concurrency (an
+  /// invalid value prints a stderr note naming it and the fallback).
   static unsigned default_worker_count();
 
   /// Run fn(i) for every i in [0, n). Indices are claimed from a shared

@@ -5,8 +5,12 @@
 namespace ecocap::core {
 
 WorkspacePool& WorkspacePool::shared() {
-  static WorkspacePool pool;
-  return pool;
+  // Never destroyed: ThreadPool::shared()'s workers retire their
+  // thread-local workspaces into this pool when they exit, which happens
+  // during static destruction — after a function-local static pool here
+  // would already be gone.
+  static WorkspacePool* const pool = new WorkspacePool;
+  return *pool;
 }
 
 /// Ties a thread's workspace lifetime to the thread itself: the workspace

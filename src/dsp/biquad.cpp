@@ -123,18 +123,15 @@ void OnePoleLowpass::process(std::span<const Real> x, Signal& out) {
   kernels::active().onepole(x.data(), out.data(), x.size(), alpha_, &state_);
 }
 
-void Biquad::save(ser::Writer& w) const {
-  w.real("bq.x1", x1_);
-  w.real("bq.x2", x2_);
-  w.real("bq.y1", y1_);
-  w.real("bq.y2", y2_);
+template <class Self, class Ar>
+void Biquad::io(Self& self, Ar& ar) {
+  ar.field("bq.x1", self.x1_);
+  ar.field("bq.x2", self.x2_);
+  ar.field("bq.y1", self.y1_);
+  ar.field("bq.y2", self.y2_);
 }
 
-void Biquad::load(ser::Reader& r) {
-  x1_ = r.real("bq.x1");
-  x2_ = r.real("bq.x2");
-  y1_ = r.real("bq.y1");
-  y2_ = r.real("bq.y2");
-}
+void Biquad::save(ser::Writer& w) const { io(*this, w); }
+void Biquad::load(ser::Reader& r) { io(*this, r); }
 
 }  // namespace ecocap::dsp

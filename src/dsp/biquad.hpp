@@ -48,6 +48,7 @@ class Biquad {
   void load(ser::Reader& r);
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   Real b0_, b1_, b2_, a1_, a2_;
   Real x1_ = 0.0, x2_ = 0.0, y1_ = 0.0, y2_ = 0.0;
 };

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <mutex>
+#include <string>
 
 #include "dsp/fft.hpp"
 
@@ -97,8 +100,19 @@ long fft_conv_min_taps_override() {
   if (!env || !*env) return -1;
   char* end = nullptr;
   const long v = std::strtol(env, &end, 10);
-  if (end == env || v < 0) return -1;
-  return v;
+  if (end != env && *end == '\0' && v >= 0) return v;
+  // Called per convolution: note each distinct bad value once.
+  static std::mutex mutex;
+  static std::string noted;
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (noted != env) {
+    noted = env;
+    std::fprintf(stderr,
+                 "ecocap: invalid ECOCAP_FFT_CONV_MIN_TAPS=\"%s\" (want a "
+                 "non-negative integer); using the built-in cost model\n",
+                 env);
+  }
+  return -1;
 }
 
 bool use_fft_convolution(std::size_t n, std::size_t m) {

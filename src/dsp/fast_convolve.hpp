@@ -23,7 +23,8 @@ namespace ecocap::dsp {
 /// environment variable: when set to a non-negative integer, the dispatcher
 /// uses the FFT path iff the kernel has at least that many taps (0 forces
 /// FFT always, a huge value forces direct always). Returns -1 when unset or
-/// unparsable, which selects the built-in cost model.
+/// invalid, which selects the built-in cost model; an invalid value prints
+/// a stderr note naming it (once per distinct value).
 long fft_conv_min_taps_override();
 
 /// Cost-model dispatch: true when the overlap-save FFT path is estimated

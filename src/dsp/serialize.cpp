@@ -1,5 +1,6 @@
 #include "dsp/serialize.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -13,11 +14,45 @@
 
 namespace ecocap::dsp::ser {
 
-namespace {
-
-[[noreturn]] void fail(std::string_view key, std::string_view what) {
+void reject(std::string_view key, std::string_view what) {
   throw std::runtime_error("checkpoint: " + std::string(what) + " at key '" +
                            std::string(key) + "'");
+}
+
+namespace {
+
+/// Strict decimal parse: digits only (after a '-' for signed T), the whole
+/// token, no overflow — strtoull alone would wrap "-1" to 2^64-1.
+template <class T>
+std::optional<T> parse_int(std::string_view token) {
+  const std::string s(token);
+  const std::size_t first = std::is_signed_v<T> && s.starts_with('-') ? 1 : 0;
+  if (first >= s.size() || s[first] < '0' || s[first] > '9') return {};
+  char* end = nullptr;
+  errno = 0;
+  const T x = std::is_signed_v<T> ? std::strtoll(s.c_str(), &end, 10)
+                                  : std::strtoull(s.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) return {};
+  return x;
+}
+
+/// Parses a `n v0 ... v{n-1}` value. The count must match the tokens on
+/// the line, so a corrupt count never reaches an allocation.
+template <class T, class Parse>
+std::vector<T> parse_vec(std::string_view key, std::string_view value,
+                         const Parse& parse) {
+  std::size_t pos = value.find(' ');
+  const auto n = parse_int<std::uint64_t>(value.substr(0, pos));
+  if (!n || *n > value.size()) reject(key, "bad vector length");
+  std::vector<T> v;
+  v.reserve(*n);
+  while (pos != std::string_view::npos) {
+    const std::size_t next = value.find(' ', pos + 1);
+    v.push_back(parse(value.substr(pos + 1, next - pos - 1)));
+    pos = next;
+  }
+  if (v.size() != *n) reject(key, "vector length mismatch");
+  return v;
 }
 
 }  // namespace
@@ -95,9 +130,9 @@ Reader::Reader(std::string content, std::string_view expected_header)
 }
 
 std::string Reader::next_line(std::string_view key) {
-  if (pos_ >= content_.size()) fail(key, "unexpected end of file");
+  if (pos_ >= content_.size()) reject(key, "unexpected end of file");
   const std::size_t nl = content_.find('\n', pos_);
-  if (nl == std::string::npos) fail(key, "truncated line");
+  if (nl == std::string::npos) reject(key, "truncated line");
   std::string line = content_.substr(pos_, nl - pos_);
   pos_ = nl + 1;
   return line;
@@ -107,66 +142,57 @@ std::string Reader::kv(std::string_view key) {
   const std::string line = next_line(key);
   const std::size_t sp = line.find(' ');
   const std::string got = line.substr(0, sp);
-  if (got != key) fail(key, "key mismatch (got '" + got + "')");
+  if (got != key) reject(key, "key mismatch (got '" + got + "')");
   return sp == std::string::npos ? std::string() : line.substr(sp + 1);
 }
 
 std::uint64_t Reader::u64(std::string_view key) {
   const std::string v = kv(key);
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t x = std::strtoull(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
-    fail(key, "bad unsigned integer '" + v + "'");
-  }
-  return x;
+  const auto x = parse_int<std::uint64_t>(v);
+  if (!x) reject(key, "bad unsigned integer '" + v + "'");
+  return *x;
 }
 
 std::int64_t Reader::i64(std::string_view key) {
   const std::string v = kv(key);
-  char* end = nullptr;
-  errno = 0;
-  const std::int64_t x = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
-    fail(key, "bad integer '" + v + "'");
-  }
-  return x;
+  const auto x = parse_int<std::int64_t>(v);
+  if (!x) reject(key, "bad integer '" + v + "'");
+  return *x;
 }
 
 Real Reader::real(std::string_view key) { return parse_real(kv(key)); }
 
 std::vector<Real> Reader::real_vec(std::string_view key) {
-  std::istringstream is(kv(key));
-  std::size_t n = 0;
-  if (!(is >> n)) fail(key, "bad vector length");
-  std::vector<Real> v;
-  v.reserve(n);
-  std::string tok;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(is >> tok)) fail(key, "short vector");
-    v.push_back(parse_real(tok));
-  }
-  return v;
+  return parse_vec<Real>(key, kv(key), parse_real);
 }
 
 std::vector<std::uint64_t> Reader::u64_vec(std::string_view key) {
-  std::istringstream is(kv(key));
-  std::size_t n = 0;
-  if (!(is >> n)) fail(key, "bad vector length");
-  std::vector<std::uint64_t> v;
-  v.reserve(n);
-  std::uint64_t x = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(is >> x)) fail(key, "short vector");
-    v.push_back(x);
-  }
-  return v;
+  return parse_vec<std::uint64_t>(key, kv(key), [key](std::string_view t) {
+    const auto x = parse_int<std::uint64_t>(t);
+    if (!x) reject(key, "bad unsigned integer '" + std::string(t) + "'");
+    return *x;
+  });
 }
 
 void Reader::rng(std::string_view key, Rng& r) {
   std::istringstream is(kv(key));
   r.load(is);
-  if (is.fail()) fail(key, "bad rng state");
+  if (is.fail()) reject(key, "bad rng state");
+}
+
+std::size_t Reader::count(std::string_view key) {
+  const std::uint64_t n = u64(key);
+  const auto left = static_cast<std::uint64_t>(
+      std::count(content_.begin() + static_cast<std::ptrdiff_t>(pos_),
+                  content_.end(), '\n'));
+  if (n > left) reject(key, "count exceeds the records left");
+  return static_cast<std::size_t>(n);
+}
+
+void Reader::finish() {
+  if (exhausted()) return;
+  const std::size_t end = content_.find_first_of(" \n", pos_);
+  reject(content_.substr(pos_, end - pos_), "record after the last field");
 }
 
 namespace {

@@ -79,47 +79,33 @@ FaultPlan FaultPlan::max_of(const FaultPlan& a, const FaultPlan& b) {
   return p;
 }
 
-void save_plan(dsp::ser::Writer& w, const FaultPlan& p) {
-  w.real("fp.burst_prob", p.channel.burst_prob);
-  w.real("fp.burst_sigma", p.channel.burst_sigma);
-  w.real("fp.burst_fraction", p.channel.burst_fraction);
-  w.real("fp.dropout_prob", p.channel.dropout_prob);
-  w.real("fp.dropout_fraction", p.channel.dropout_fraction);
-  w.real("fp.clock_drift_ppm", p.channel.clock_drift_ppm);
-  w.real("fp.spike_rate_hz", p.channel.spike_rate_hz);
-  w.real("fp.spike_amplitude", p.channel.spike_amplitude);
-  w.real("fp.brownout_prob", p.node.brownout_prob);
-  w.real("fp.cap_leak_amps", p.node.cap_leak_amps);
-  w.real("fp.bit_flip_prob", p.node.bit_flip_prob);
-  w.real("fp.adc_clip_level", p.reader.adc_clip_level);
-  w.real("fp.crash_prob", p.runtime.crash_prob);
-  w.real("fp.stall_prob", p.runtime.stall_prob);
-  w.i64("fp.stall_polls_min", p.runtime.stall_polls_min);
-  w.i64("fp.stall_polls_max", p.runtime.stall_polls_max);
-  w.real("fp.throttle_prob", p.runtime.throttle_prob);
+namespace {
+
+template <class Plan, class Ar>
+void io_plan(Plan& p, Ar& ar) {
+  ar.field("fp.burst_prob", p.channel.burst_prob);
+  ar.field("fp.burst_sigma", p.channel.burst_sigma);
+  ar.field("fp.burst_fraction", p.channel.burst_fraction);
+  ar.field("fp.dropout_prob", p.channel.dropout_prob);
+  ar.field("fp.dropout_fraction", p.channel.dropout_fraction);
+  ar.field("fp.clock_drift_ppm", p.channel.clock_drift_ppm);
+  ar.field("fp.spike_rate_hz", p.channel.spike_rate_hz);
+  ar.field("fp.spike_amplitude", p.channel.spike_amplitude);
+  ar.field("fp.brownout_prob", p.node.brownout_prob);
+  ar.field("fp.cap_leak_amps", p.node.cap_leak_amps);
+  ar.field("fp.bit_flip_prob", p.node.bit_flip_prob);
+  ar.field("fp.adc_clip_level", p.reader.adc_clip_level);
+  ar.field("fp.crash_prob", p.runtime.crash_prob);
+  ar.field("fp.stall_prob", p.runtime.stall_prob);
+  ar.field("fp.stall_polls_min", p.runtime.stall_polls_min);
+  ar.field("fp.stall_polls_max", p.runtime.stall_polls_max);
+  ar.field("fp.throttle_prob", p.runtime.throttle_prob);
 }
 
-FaultPlan load_plan(dsp::ser::Reader& r) {
-  FaultPlan p;
-  p.channel.burst_prob = r.real("fp.burst_prob");
-  p.channel.burst_sigma = r.real("fp.burst_sigma");
-  p.channel.burst_fraction = r.real("fp.burst_fraction");
-  p.channel.dropout_prob = r.real("fp.dropout_prob");
-  p.channel.dropout_fraction = r.real("fp.dropout_fraction");
-  p.channel.clock_drift_ppm = r.real("fp.clock_drift_ppm");
-  p.channel.spike_rate_hz = r.real("fp.spike_rate_hz");
-  p.channel.spike_amplitude = r.real("fp.spike_amplitude");
-  p.node.brownout_prob = r.real("fp.brownout_prob");
-  p.node.cap_leak_amps = r.real("fp.cap_leak_amps");
-  p.node.bit_flip_prob = r.real("fp.bit_flip_prob");
-  p.reader.adc_clip_level = r.real("fp.adc_clip_level");
-  p.runtime.crash_prob = r.real("fp.crash_prob");
-  p.runtime.stall_prob = r.real("fp.stall_prob");
-  p.runtime.stall_polls_min = static_cast<int>(r.i64("fp.stall_polls_min"));
-  p.runtime.stall_polls_max = static_cast<int>(r.i64("fp.stall_polls_max"));
-  p.runtime.throttle_prob = r.real("fp.throttle_prob");
-  return p;
-}
+}  // namespace
+
+void FaultPlan::save(dsp::ser::Writer& w) const { io_plan(*this, w); }
+void FaultPlan::load(dsp::ser::Reader& r) { io_plan(*this, r); }
 
 Injector::Injector(const FaultPlan& plan, std::uint64_t base_seed,
                    std::uint64_t trial)
@@ -253,37 +239,25 @@ bool Injector::runtime_throttled() {
   return hit;
 }
 
-void Injector::save(dsp::ser::Writer& w) const {
-  w.rng("inj.rng", rng_);
-  w.real("inj.drift", drift_factor_);
-  w.i64("inj.bursts", counters_.bursts);
-  w.i64("inj.dropouts", counters_.dropouts);
-  w.i64("inj.spikes", counters_.spikes);
-  w.i64("inj.brownouts", counters_.brownouts);
-  w.i64("inj.bit_flips", counters_.bit_flips);
-  w.i64("inj.clipped", counters_.clipped_samples);
-  w.i64("inj.replies_lost", counters_.replies_lost);
-  w.i64("inj.replies_corrupted", counters_.replies_corrupted);
-  w.i64("inj.crashes", counters_.crashes_injected);
-  w.i64("inj.stalls", counters_.stalls_injected);
-  w.i64("inj.throttles", counters_.throttles_injected);
+template <class Self, class Ar>
+void Injector::io(Self& self, Ar& ar) {
+  auto& c = self.counters_;
+  ar.field("inj.rng", self.rng_);
+  ar.field("inj.drift", self.drift_factor_);
+  ar.field("inj.bursts", c.bursts);
+  ar.field("inj.dropouts", c.dropouts);
+  ar.field("inj.spikes", c.spikes);
+  ar.field("inj.brownouts", c.brownouts);
+  ar.field("inj.bit_flips", c.bit_flips);
+  ar.field("inj.clipped", c.clipped_samples);
+  ar.field("inj.replies_lost", c.replies_lost);
+  ar.field("inj.replies_corrupted", c.replies_corrupted);
+  ar.field("inj.crashes", c.crashes_injected);
+  ar.field("inj.stalls", c.stalls_injected);
+  ar.field("inj.throttles", c.throttles_injected);
 }
 
-void Injector::load(dsp::ser::Reader& r) {
-  r.rng("inj.rng", rng_);
-  drift_factor_ = r.real("inj.drift");
-  counters_.bursts = static_cast<int>(r.i64("inj.bursts"));
-  counters_.dropouts = static_cast<int>(r.i64("inj.dropouts"));
-  counters_.spikes = static_cast<int>(r.i64("inj.spikes"));
-  counters_.brownouts = static_cast<int>(r.i64("inj.brownouts"));
-  counters_.bit_flips = static_cast<int>(r.i64("inj.bit_flips"));
-  counters_.clipped_samples = static_cast<int>(r.i64("inj.clipped"));
-  counters_.replies_lost = static_cast<int>(r.i64("inj.replies_lost"));
-  counters_.replies_corrupted =
-      static_cast<int>(r.i64("inj.replies_corrupted"));
-  counters_.crashes_injected = static_cast<int>(r.i64("inj.crashes"));
-  counters_.stalls_injected = static_cast<int>(r.i64("inj.stalls"));
-  counters_.throttles_injected = static_cast<int>(r.i64("inj.throttles"));
-}
+void Injector::save(dsp::ser::Writer& w) const { io(*this, w); }
+void Injector::load(dsp::ser::Reader& r) { io(*this, r); }
 
 }  // namespace ecocap::fault

@@ -144,13 +144,13 @@ struct FaultPlan {
   /// overlapping scenario fault windows, where the harsher impairment of
   /// each kind wins. max_of(p, empty) == p.
   static FaultPlan max_of(const FaultPlan& a, const FaultPlan& b);
-};
 
-/// Checkpoint round trip of a plan's full field set. A checkpoint that
-/// carries the live plan can rebuild injectors with the exact fault
-/// configuration a mid-run `set_fault_plan` swapped in.
-void save_plan(dsp::ser::Writer& w, const FaultPlan& p);
-FaultPlan load_plan(dsp::ser::Reader& r);
+  /// Checkpoint round trip of the plan's full field set. A checkpoint that
+  /// carries the live plan can rebuild injectors with the exact fault
+  /// configuration a mid-run `set_fault_plan` swapped in.
+  void save(dsp::ser::Writer& w) const;
+  void load(dsp::ser::Reader& r);
+};
 
 /// Per-trial fault source. Cheap to construct; all hooks are no-ops (zero
 /// draws) when the plan is empty.
@@ -239,6 +239,7 @@ class Injector {
   void load(dsp::ser::Reader& r);
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   FaultPlan plan_;
   dsp::Rng rng_;
   Real drift_factor_ = 0.0;  // lazily drawn; 0 marks "not yet drawn"

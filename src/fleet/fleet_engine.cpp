@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <stdexcept>
 #include <utility>
 
@@ -15,30 +16,17 @@ namespace {
 constexpr const char* kCheckpointHeader = "ecocap-fleet-checkpoint v1";
 constexpr const char* kAggregatesHeader = "ecocap-fleet-aggregates v1";
 
-void save_summary(dsp::ser::Writer& w, const StructureSummary& s) {
-  w.u64("s.steps", s.steps);
-  w.u64("s.readings", s.readings);
-  w.u64("s.capsule_reads", s.capsule_reads);
-  w.i64("s.limit_violations", s.limit_violations);
-  w.i64("s.anomalies", s.anomalies);
-  for (const std::int64_t c : s.health_counts) w.i64("s.health", c);
-  w.real("s.stress_sum", s.stress_sum);
-  w.real("s.peak_acceleration", s.peak_acceleration);
-  w.real("s.worst_pao", s.worst_pao);
-}
-
-StructureSummary load_summary(dsp::ser::Reader& r) {
-  StructureSummary s;
-  s.steps = r.u64("s.steps");
-  s.readings = r.u64("s.readings");
-  s.capsule_reads = r.u64("s.capsule_reads");
-  s.limit_violations = r.i64("s.limit_violations");
-  s.anomalies = r.i64("s.anomalies");
-  for (std::int64_t& c : s.health_counts) c = r.i64("s.health");
-  s.stress_sum = r.real("s.stress_sum");
-  s.peak_acceleration = r.real("s.peak_acceleration");
-  s.worst_pao = r.real("s.worst_pao");
-  return s;
+template <class Summary, class Ar>
+void io_summary(Summary& s, Ar& ar) {
+  ar.field("s.steps", s.steps);
+  ar.field("s.readings", s.readings);
+  ar.field("s.capsule_reads", s.capsule_reads);
+  ar.field("s.limit_violations", s.limit_violations);
+  ar.field("s.anomalies", s.anomalies);
+  for (auto& c : s.health_counts) ar.field("s.health", c);
+  ar.field("s.stress_sum", s.stress_sum);
+  ar.field("s.peak_acceleration", s.peak_acceleration);
+  ar.field("s.worst_pao", s.worst_pao);
 }
 
 /// Contiguous structure block [lo, hi) owned by `shard` of `shards`.
@@ -71,8 +59,8 @@ std::string FleetResult::fingerprint() const {
   dsp::ser::Writer w(kAggregatesHeader);
   w.u64("fleet.completed", completed ? 1 : 0);
   w.u64("fleet.structures", structures.size());
-  save_summary(w, totals);
-  for (const StructureSummary& s : structures) save_summary(w, s);
+  io_summary(totals, w);
+  for (const StructureSummary& s : structures) io_summary(s, w);
   return w.payload();
 }
 
@@ -102,35 +90,6 @@ std::size_t FleetEngine::shard_count() const {
 std::string FleetEngine::shard_path(std::size_t shard) const {
   return config_.checkpoint_dir + "/fleet_shard_" + std::to_string(shard) +
          ".ckpt";
-}
-
-void FleetEngine::fingerprint_config(dsp::ser::Writer& w) const {
-  w.u64("fp.structures", config_.structures);
-  w.u64("fp.shards", shard_count());
-  w.u64("fp.seed", config_.seed);
-  w.real("fp.days", config_.campaign.days);
-  w.real("fp.step_minutes", config_.campaign.step_minutes);
-  w.i64("fp.capsule_count", config_.campaign.capsule_count);
-  w.real("fp.poll_hours", config_.campaign.capsule_poll_hours);
-  w.u64("fp.supervised", config_.campaign.supervisor.enabled ? 1 : 0);
-  w.u64("fp.record_series", config_.record_series ? 1 : 0);
-}
-
-void FleetEngine::check_fingerprint(dsp::ser::Reader& r) const {
-  // Hexfloat round trips are exact, so == is the right comparison.
-  if (r.u64("fp.structures") != config_.structures ||
-      r.u64("fp.shards") != shard_count() ||
-      r.u64("fp.seed") != config_.seed ||
-      r.real("fp.days") != config_.campaign.days ||
-      r.real("fp.step_minutes") != config_.campaign.step_minutes ||
-      static_cast<int>(r.i64("fp.capsule_count")) !=
-          config_.campaign.capsule_count ||
-      r.real("fp.poll_hours") != config_.campaign.capsule_poll_hours ||
-      (r.u64("fp.supervised") != 0) != config_.campaign.supervisor.enabled ||
-      (r.u64("fp.record_series") != 0) != config_.record_series) {
-    throw std::runtime_error(
-        "fleet resume: checkpoint was written by a different fleet config");
-  }
 }
 
 StructureSummary FleetEngine::run_structure(std::size_t s) const {
@@ -211,39 +170,35 @@ FleetResult FleetEngine::run_impl(bool from_checkpoint) {
     const auto [lo, hi] = shard_range(config_.structures, shards, k);
     std::size_t done = 0;  // completed prefix length within this shard
 
-    if (from_checkpoint) {
-      if (const auto content = dsp::ser::read_file(shard_path(k))) {
-        dsp::ser::Reader r(*content, kCheckpointHeader);
-        check_fingerprint(r);
-        if (r.u64("shard.index") != k) {
-          throw std::runtime_error("fleet resume: shard index mismatch in " +
-                                   shard_path(k));
-        }
-        done = r.u64("shard.completed");
-        if (done > hi - lo) {
-          throw std::runtime_error("fleet resume: corrupt completed count in " +
-                                   shard_path(k));
-        }
-        for (std::size_t i = 0; i < done; ++i) {
-          result.structures[lo + i] = load_summary(r);
-          structure_done[lo + i] = 1;
-        }
-        shard_resumed[k] = done;
+    // A shard file only resumes the same shard of the same fleet config.
+    // Hexfloat round trips are exact, so == is the right comparison.
+    const auto fingerprint = [&](auto& ar) {
+      ar.expect("fp.structures", config_.structures);
+      ar.expect("fp.shards", shards);
+      ar.expect("fp.seed", config_.seed);
+      ar.expect("fp.days", config_.campaign.days);
+      ar.expect("fp.step_minutes", config_.campaign.step_minutes);
+      ar.expect("fp.capsule_count", config_.campaign.capsule_count);
+      ar.expect("fp.poll_hours", config_.campaign.capsule_poll_hours);
+      ar.expect("fp.supervised", config_.campaign.supervisor.enabled);
+      ar.expect("fp.record_series", config_.record_series);
+      ar.expect("shard.index", k);
+    };
+    const auto payload = [&](auto& ar) {
+      ar.field("shard.completed", done, 0, hi - lo);
+      for (std::size_t i = 0; i < done; ++i) {
+        io_summary(result.structures[lo + i], ar);
       }
+    };
+    if (from_checkpoint && std::filesystem::exists(shard_path(k))) {
+      dsp::ser::load_file(shard_path(k), kCheckpointHeader, fingerprint,
+                          payload);
+      std::fill_n(structure_done.begin() + lo, done, 1);
+      shard_resumed[k] = done;
     }
-
-    const auto write_checkpoint = [&](std::size_t completed) {
-      dsp::ser::Writer w(kCheckpointHeader);
-      fingerprint_config(w);
-      w.u64("shard.index", k);
-      w.u64("shard.completed", completed);
-      for (std::size_t i = 0; i < completed; ++i) {
-        save_summary(w, result.structures[lo + i]);
-      }
-      if (!dsp::ser::atomic_write_file(shard_path(k), w.payload())) {
-        throw std::runtime_error("fleet checkpoint: cannot write " +
-                                 shard_path(k));
-      }
+    const auto write_checkpoint = [&] {
+      dsp::ser::save_file(shard_path(k), kCheckpointHeader, fingerprint,
+                          payload);
     };
 
     std::size_t completed_this_run = 0;
@@ -252,7 +207,7 @@ FleetResult FleetEngine::run_impl(bool from_checkpoint) {
           completed_this_run >= config_.stop_after_structures) {
         // Simulated crash: leave a final checkpoint and stop this shard.
         shard_stopped[k] = 1;
-        if (checkpointing) write_checkpoint(done);
+        if (checkpointing) write_checkpoint();
         return;
       }
       result.structures[s] = run_structure(s);
@@ -260,7 +215,7 @@ FleetResult FleetEngine::run_impl(bool from_checkpoint) {
       ++done;
       ++completed_this_run;
       if (checkpointing && (done % config_.checkpoint_every == 0 || s + 1 == hi)) {
-        write_checkpoint(done);
+        write_checkpoint();
       }
     }
   });

@@ -143,8 +143,6 @@ class FleetEngine {
   FleetResult run_impl(bool from_checkpoint);
   StructureSummary run_structure(std::size_t s) const;
   std::string shard_path(std::size_t shard) const;
-  void fingerprint_config(dsp::ser::Writer& w) const;
-  void check_fingerprint(dsp::ser::Reader& r) const;
 
   Config config_;
   core::ThreadPool* pool_;

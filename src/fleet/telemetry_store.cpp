@@ -189,59 +189,50 @@ std::optional<std::uint32_t> TelemetryStore::writer_of(std::size_t node) const {
   return o;
 }
 
-void TelemetryStore::save_node(std::size_t node, dsp::ser::Writer& w) const {
-  const NodeSeries& n = *nodes_[node];
-  const auto ring = [&w](std::string_view key, const Ring& r) {
-    w.u64(std::string(key) + ".cursor",
-          r.cursor.load(std::memory_order_acquire));
-    std::vector<std::uint64_t> raw;
-    raw.reserve(r.slots.size());
+template <class Ar>
+void TelemetryStore::io(NodeSeries& n, Ar& ar) {
+  const auto ring = [&ar](const std::string& key, Ring& r) {
+    std::uint64_t cursor = r.cursor.load(std::memory_order_acquire);
+    ar.field(key + ".cursor", cursor);
+    std::vector<std::uint64_t> slots;
+    slots.reserve(r.slots.size());
     for (const auto& s : r.slots) {
-      raw.push_back(s.load(std::memory_order_relaxed));
+      slots.push_back(s.load(std::memory_order_relaxed));
     }
-    w.u64_vec(std::string(key) + ".slots", raw);
+    // Loaded slots land before the cursor that publishes them.
+    ar.value(key + ".slots", slots, [&](const auto& loaded) {
+      if (loaded.size() != r.slots.size()) {
+        throw std::runtime_error(
+            "checkpoint: telemetry ring capacity mismatch");
+      }
+      for (std::size_t i = 0; i < loaded.size(); ++i) {
+        r.slots[i].store(loaded[i], std::memory_order_relaxed);
+      }
+      r.cursor.store(cursor, std::memory_order_release);
+    });
   };
   ring("ts.raw", n.raw);
   ring("ts.minute", n.minute);
   ring("ts.hour", n.hour);
-  const auto bucket = [&w](std::string_view prefix, const Bucket& b) {
-    w.u64(std::string(prefix) + ".start", b.start_sec);
-    w.real(std::string(prefix) + ".sum", b.sum);
-    w.u64(std::string(prefix) + ".count", b.count);
+  const auto bucket = [&ar](const std::string& key, Bucket& b) {
+    ar.field(key + ".start", b.start_sec);
+    ar.field(key + ".sum", b.sum);
+    ar.field(key + ".count", b.count);
   };
   bucket("ts.mb", n.minute_bucket);
   bucket("ts.hb", n.hour_bucket);
-  w.u64("ts.last", n.last.load(std::memory_order_acquire));
-  w.u64("ts.appends", n.appends.load(std::memory_order_relaxed));
+  ar.value("ts.last", n.last.load(std::memory_order_acquire),
+           [&](auto v) { n.last.store(v, std::memory_order_release); });
+  ar.value("ts.appends", n.appends.load(std::memory_order_relaxed),
+           [&](auto v) { n.appends.store(v, std::memory_order_relaxed); });
+}
+
+void TelemetryStore::save_node(std::size_t node, dsp::ser::Writer& w) const {
+  io(*nodes_[node], w);
 }
 
 void TelemetryStore::load_node(std::size_t node, dsp::ser::Reader& r) {
-  NodeSeries& n = *nodes_[node];
-  const auto ring = [&r](std::string_view key, Ring& dst) {
-    const std::uint64_t cursor = r.u64(std::string(key) + ".cursor");
-    const auto slots = r.u64_vec(std::string(key) + ".slots");
-    if (slots.size() != dst.slots.size()) {
-      throw std::runtime_error("checkpoint: telemetry ring capacity mismatch");
-    }
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      dst.slots[i].store(slots[i], std::memory_order_relaxed);
-    }
-    dst.cursor.store(cursor, std::memory_order_release);
-  };
-  ring("ts.raw", n.raw);
-  ring("ts.minute", n.minute);
-  ring("ts.hour", n.hour);
-  const auto bucket = [&r](std::string_view prefix, Bucket& b) {
-    b.start_sec = static_cast<std::uint32_t>(
-        r.u64(std::string(prefix) + ".start"));
-    b.sum = r.real(std::string(prefix) + ".sum");
-    b.count = static_cast<std::uint32_t>(
-        r.u64(std::string(prefix) + ".count"));
-  };
-  bucket("ts.mb", n.minute_bucket);
-  bucket("ts.hb", n.hour_bucket);
-  n.last.store(r.u64("ts.last"), std::memory_order_release);
-  n.appends.store(r.u64("ts.appends"), std::memory_order_relaxed);
+  io(*nodes_[node], r);
 }
 
 void TelemetryStore::reset_node(std::size_t node) {

@@ -168,6 +168,10 @@ class TelemetryStore {
     std::atomic<std::uint32_t> owner{kNoOwner};
   };
 
+  /// The one field list of save_node/load_node.
+  template <class Ar>
+  static void io(NodeSeries& n, Ar& ar);
+
   static constexpr std::uint32_t kNoBucket = 0xffffffffu;
   static constexpr std::uint32_t kNoOwner = 0xffffffffu;
   /// Impossible packed value: t_sec of kNoBucket marks "never reported".

@@ -1,6 +1,5 @@
 #include "node/firmware.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 namespace ecocap::node {
@@ -152,34 +151,19 @@ UplinkFrame Firmware::make_frame(const phy::Response& resp) const {
   return f;
 }
 
-void Firmware::save(dsp::ser::Writer& w) const {
-  w.u64("fw.node_id", config_.node_id);
-  w.rng("fw.rng", rng_);
-  w.i64("fw.state", static_cast<std::int64_t>(state_));
-  w.u64("fw.rn16", rn16_);
-  w.i64("fw.slot", slot_);
-  w.u64("fw.selected", selected_ ? 1 : 0);
-  w.real("fw.blf", config_.blf);
-  w.real("fw.bitrate", config_.uplink.bitrate);
+template <class Self, class Ar>
+void Firmware::io(Self& self, Ar& ar) {
+  ar.expect("fw.node_id", self.config_.node_id);
+  ar.field("fw.rng", self.rng_);
+  ar.field("fw.state", self.state_, McuState::kOff, McuState::kAcked);
+  ar.field("fw.rn16", self.rn16_);
+  ar.field("fw.slot", self.slot_);
+  ar.field("fw.selected", self.selected_);
+  ar.field("fw.blf", self.config_.blf);
+  ar.field("fw.bitrate", self.config_.uplink.bitrate);
 }
 
-void Firmware::load(dsp::ser::Reader& r) {
-  const std::uint64_t id = r.u64("fw.node_id");
-  if (id != config_.node_id) {
-    throw std::runtime_error("checkpoint: firmware node id mismatch");
-  }
-  r.rng("fw.rng", rng_);
-  const std::int64_t state = r.i64("fw.state");
-  if (state < static_cast<std::int64_t>(McuState::kOff) ||
-      state > static_cast<std::int64_t>(McuState::kAcked)) {
-    throw std::runtime_error("checkpoint: bad MCU state");
-  }
-  state_ = static_cast<McuState>(state);
-  rn16_ = static_cast<std::uint16_t>(r.u64("fw.rn16"));
-  slot_ = static_cast<int>(r.i64("fw.slot"));
-  selected_ = r.u64("fw.selected") != 0;
-  config_.blf = r.real("fw.blf");
-  config_.uplink.bitrate = r.real("fw.bitrate");
-}
+void Firmware::save(dsp::ser::Writer& w) const { io(*this, w); }
+void Firmware::load(dsp::ser::Reader& r) { io(*this, r); }
 
 }  // namespace ecocap::node

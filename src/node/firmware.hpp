@@ -81,6 +81,7 @@ class Firmware {
   void load(dsp::ser::Reader& r);
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   std::optional<UplinkFrame> on_select(const phy::SelectCommand& s);
   std::optional<UplinkFrame> on_query(const phy::QueryCommand& q);
   std::optional<UplinkFrame> on_query_rep();

@@ -56,14 +56,13 @@ void Harvester::reset() {
   powered_ = false;
 }
 
-void Harvester::save(dsp::ser::Writer& w) const {
-  w.real("hv.v_cap", v_cap_);
-  w.u64("hv.powered", powered_ ? 1 : 0);
+template <class Self, class Ar>
+void Harvester::io(Self& self, Ar& ar) {
+  ar.field("hv.v_cap", self.v_cap_);
+  ar.field("hv.powered", self.powered_);
 }
 
-void Harvester::load(dsp::ser::Reader& r) {
-  v_cap_ = r.real("hv.v_cap");
-  powered_ = r.u64("hv.powered") != 0;
-}
+void Harvester::save(dsp::ser::Writer& w) const { io(*this, w); }
+void Harvester::load(dsp::ser::Reader& r) { io(*this, r); }
 
 }  // namespace ecocap::node

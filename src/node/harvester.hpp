@@ -66,6 +66,7 @@ class Harvester {
   const HarvesterConfig& config() const { return config_; }
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   HarvesterConfig config_;
   Real v_cap_ = 0.0;
   bool powered_ = false;

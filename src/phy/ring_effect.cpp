@@ -86,19 +86,15 @@ Real ook_tail_duration(Real resonance, Real q, Real threshold) {
   return tau * std::log(1.0 / threshold);
 }
 
-void RingingPzt::save(dsp::ser::Writer& w) const {
-  w.real("pzt.s_re", s_.real());
-  w.real("pzt.s_im", s_.imag());
-  w.real("pzt.env", env_);
-  w.real("pzt.peak", peak_);
+template <class Self, class Ar>
+void RingingPzt::io(Self& self, Ar& ar) {
+  ar.value("pzt.s_re", self.s_.real(), [&](auto v) { self.s_.real(v); });
+  ar.value("pzt.s_im", self.s_.imag(), [&](auto v) { self.s_.imag(v); });
+  ar.field("pzt.env", self.env_);
+  ar.field("pzt.peak", self.peak_);
 }
 
-void RingingPzt::load(dsp::ser::Reader& r) {
-  const Real re = r.real("pzt.s_re");
-  const Real im = r.real("pzt.s_im");
-  s_ = {re, im};
-  env_ = r.real("pzt.env");
-  peak_ = r.real("pzt.peak");
-}
+void RingingPzt::save(dsp::ser::Writer& w) const { io(*this, w); }
+void RingingPzt::load(dsp::ser::Reader& r) { io(*this, r); }
 
 }  // namespace ecocap::phy

@@ -72,6 +72,7 @@ class RingingPzt {
   void load(dsp::ser::Reader& r);
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   Real fs_;
   Real resonance_;
   Real q_;

@@ -247,65 +247,35 @@ SupervisorTotals LinkSupervisor::totals() const {
   return t;
 }
 
-void LinkSupervisor::save(dsp::ser::Writer& w) const {
-  w.real("sup.round_quality", round_quality_);
-  w.u64("sup.nodes", states_.size());
-  for (const auto& [id, s] : states_) {
-    w.u64("sup.node", id);
-    w.i64("sup.ladder_index", s.ladder_index);
-    w.real("sup.ewma_success", s.ewma_success);
-    w.real("sup.ewma_snr_db", s.ewma_snr_db);
-    w.u64("sup.has_snr", s.has_snr ? 1 : 0);
-    w.i64("sup.consecutive_ok", s.consecutive_ok);
-    w.i64("sup.consecutive_miss", s.consecutive_miss);
-    w.u64("sup.probing", s.probing ? 1 : 0);
-    w.i64("sup.probe_streak_needed", s.probe_streak_needed);
-    w.u64("sup.quarantined", s.quarantined ? 1 : 0);
-    w.i64("sup.quarantine_wait", s.quarantine_wait);
-    w.i64("sup.reintegration_backoff", s.reintegration_backoff);
-    w.i64("sup.fallbacks", s.fallbacks);
-    w.i64("sup.probes", s.probes);
-    w.i64("sup.failed_probes", s.failed_probes);
-    w.i64("sup.quarantines", s.quarantines);
-    w.i64("sup.reintegrations", s.reintegrations);
-    w.i64("sup.reintegration_probes", s.reintegration_probes);
-    w.i64("sup.skipped_polls", s.skipped_polls);
-  }
+template <class Self, class Ar>
+void LinkSupervisor::io(Self& self, Ar& ar) {
+  const int top_rung = static_cast<int>(self.config_.ladder.size()) - 1;
+  ar.field("sup.round_quality", self.round_quality_);
+  ar.seq("sup.nodes", self.states_, [&](auto& entry) {
+    auto& s = entry.second;
+    ar.field("sup.node", entry.first);
+    ar.field("sup.ladder_index", s.ladder_index, 0, top_rung);
+    ar.field("sup.ewma_success", s.ewma_success);
+    ar.field("sup.ewma_snr_db", s.ewma_snr_db);
+    ar.field("sup.has_snr", s.has_snr);
+    ar.field("sup.consecutive_ok", s.consecutive_ok);
+    ar.field("sup.consecutive_miss", s.consecutive_miss);
+    ar.field("sup.probing", s.probing);
+    ar.field("sup.probe_streak_needed", s.probe_streak_needed);
+    ar.field("sup.quarantined", s.quarantined);
+    ar.field("sup.quarantine_wait", s.quarantine_wait);
+    ar.field("sup.reintegration_backoff", s.reintegration_backoff);
+    ar.field("sup.fallbacks", s.fallbacks);
+    ar.field("sup.probes", s.probes);
+    ar.field("sup.failed_probes", s.failed_probes);
+    ar.field("sup.quarantines", s.quarantines);
+    ar.field("sup.reintegrations", s.reintegrations);
+    ar.field("sup.reintegration_probes", s.reintegration_probes);
+    ar.field("sup.skipped_polls", s.skipped_polls);
+  });
 }
 
-void LinkSupervisor::load(dsp::ser::Reader& r) {
-  round_quality_ = r.real("sup.round_quality");
-  const std::uint64_t n = r.u64("sup.nodes");
-  states_.clear();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto id = static_cast<std::uint16_t>(r.u64("sup.node"));
-    NodeLinkState s;
-    s.ladder_index = static_cast<int>(r.i64("sup.ladder_index"));
-    if (s.ladder_index < 0 ||
-        s.ladder_index >= static_cast<int>(config_.ladder.size())) {
-      throw std::runtime_error("checkpoint: ladder index out of range");
-    }
-    s.ewma_success = r.real("sup.ewma_success");
-    s.ewma_snr_db = r.real("sup.ewma_snr_db");
-    s.has_snr = r.u64("sup.has_snr") != 0;
-    s.consecutive_ok = static_cast<int>(r.i64("sup.consecutive_ok"));
-    s.consecutive_miss = static_cast<int>(r.i64("sup.consecutive_miss"));
-    s.probing = r.u64("sup.probing") != 0;
-    s.probe_streak_needed = static_cast<int>(r.i64("sup.probe_streak_needed"));
-    s.quarantined = r.u64("sup.quarantined") != 0;
-    s.quarantine_wait = static_cast<int>(r.i64("sup.quarantine_wait"));
-    s.reintegration_backoff =
-        static_cast<int>(r.i64("sup.reintegration_backoff"));
-    s.fallbacks = static_cast<int>(r.i64("sup.fallbacks"));
-    s.probes = static_cast<int>(r.i64("sup.probes"));
-    s.failed_probes = static_cast<int>(r.i64("sup.failed_probes"));
-    s.quarantines = static_cast<int>(r.i64("sup.quarantines"));
-    s.reintegrations = static_cast<int>(r.i64("sup.reintegrations"));
-    s.reintegration_probes =
-        static_cast<int>(r.i64("sup.reintegration_probes"));
-    s.skipped_polls = static_cast<int>(r.i64("sup.skipped_polls"));
-    states_[id] = s;
-  }
-}
+void LinkSupervisor::save(dsp::ser::Writer& w) const { io(*this, w); }
+void LinkSupervisor::load(dsp::ser::Reader& r) { io(*this, r); }
 
 }  // namespace ecocap::reader

@@ -180,6 +180,7 @@ class LinkSupervisor {
   void load(dsp::ser::Reader& r);
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   NodeLinkState& mutable_state(std::uint16_t node_id);
 
   SupervisorConfig config_;

@@ -40,40 +40,20 @@ struct Progress {
   std::vector<LoggedReading> log;
 };
 
-void save_progress(dsp::ser::Writer& w, const Progress& p) {
-  w.u64("mobile.next_stop", p.next_stop);
-  w.u64("mobile.clock_sec", p.clock_sec);
-  w.i64("mobile.delivered", p.delivered);
-  w.i64("mobile.read_ok", p.read_ok);
-  w.i64("mobile.giveups", p.giveups);
-  w.i64("mobile.reachable", p.reachable);
-  w.real_vec("mobile.trace", p.trace);
-  w.u64("mobile.log", p.log.size());
-  for (const auto& lr : p.log) {
-    w.u64("log.node", lr.store_node);
-    w.u64("log.t_sec", lr.t_sec);
-    w.real("log.value", lr.value);
-  }
-}
-
-void load_progress(dsp::ser::Reader& r, Progress& p) {
-  p.next_stop = r.u64("mobile.next_stop");
-  p.clock_sec = static_cast<std::uint32_t>(r.u64("mobile.clock_sec"));
-  p.delivered = r.i64("mobile.delivered");
-  p.read_ok = r.i64("mobile.read_ok");
-  p.giveups = r.i64("mobile.giveups");
-  p.reachable = r.i64("mobile.reachable");
-  p.trace = r.real_vec("mobile.trace");
-  const std::uint64_t n = r.u64("mobile.log");
-  p.log.clear();
-  p.log.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    LoggedReading lr;
-    lr.store_node = r.u64("log.node");
-    lr.t_sec = static_cast<std::uint32_t>(r.u64("log.t_sec"));
-    lr.value = r.real("log.value");
-    p.log.push_back(lr);
-  }
+template <class Ar>
+void io_progress(Progress& p, Ar& ar) {
+  ar.field("mobile.next_stop", p.next_stop);
+  ar.field("mobile.clock_sec", p.clock_sec);
+  ar.field("mobile.delivered", p.delivered);
+  ar.field("mobile.read_ok", p.read_ok);
+  ar.field("mobile.giveups", p.giveups);
+  ar.field("mobile.reachable", p.reachable);
+  ar.field("mobile.trace", p.trace);
+  ar.seq("mobile.log", p.log, [&ar](auto& lr) {
+    ar.field("log.node", lr.store_node);
+    ar.field("log.t_sec", lr.t_sec);
+    ar.field("log.value", lr.value);
+  });
 }
 
 constexpr Real kTravelSeconds = 60.0;  // between consecutive stops
@@ -86,35 +66,22 @@ MobileRunner::MobileRunner(const ScenarioScript& script,
 
 ScenarioOutcome MobileRunner::run(bool from_checkpoint) {
   Progress p;
+  const auto fingerprint = [this](auto& ar) {
+    ar.expect("scenario.name", script_.name);
+    ar.expect("scenario.seed", script_.seed);
+    ar.expect("scenario.mode", "mobile");
+    ar.expect("scenario.stops", script_.route.size());
+  };
+  const auto payload = [&p](auto& ar) { io_progress(p, ar); };
   if (from_checkpoint) {
-    const auto content = dsp::ser::read_file(control_.checkpoint_path);
-    if (!content) {
-      throw std::runtime_error("scenario resume: cannot read " +
-                               control_.checkpoint_path);
-    }
-    dsp::ser::Reader r(*content, kScenarioCheckpointHeader);
-    if (r.str("scenario.name") != script_.name ||
-        r.u64("scenario.seed") != script_.seed ||
-        r.str("scenario.mode") != "mobile" ||
-        r.u64("scenario.stops") != script_.route.size()) {
-      throw std::runtime_error(
-          "scenario resume: checkpoint was written by a different script");
-    }
-    load_progress(r, p);
+    dsp::ser::load_file(control_.checkpoint_path, kScenarioCheckpointHeader,
+                        fingerprint, payload);
   }
 
   const auto write_checkpoint = [&]() {
     if (control_.checkpoint_path.empty()) return;
-    dsp::ser::Writer w(kScenarioCheckpointHeader);
-    w.str("scenario.name", script_.name);
-    w.u64("scenario.seed", script_.seed);
-    w.str("scenario.mode", "mobile");
-    w.u64("scenario.stops", script_.route.size());
-    save_progress(w, p);
-    if (!dsp::ser::atomic_write_file(control_.checkpoint_path, w.payload())) {
-      throw std::runtime_error("scenario checkpoint: cannot write " +
-                               control_.checkpoint_path);
-    }
+    dsp::ser::save_file(control_.checkpoint_path, kScenarioCheckpointHeader,
+                        fingerprint, payload);
   };
 
   // Telemetry store sized for the whole route; resumed runs replay the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <optional>
-#include <stdexcept>
 
 #include "channel/structures.hpp"
 #include "core/inventory_session.hpp"
@@ -26,23 +25,14 @@ struct Progress {
   std::array<std::int64_t, kSchemes> collisions{};
 };
 
-void save_progress(dsp::ser::Writer& w, const Progress& p) {
-  w.u64("multi.slot", p.slot);
-  for (int s = 0; s < kSchemes; ++s) {
-    w.i64("multi.delivered", p.delivered[static_cast<std::size_t>(s)]);
-    w.i64("multi.read_ok", p.read_ok[static_cast<std::size_t>(s)]);
-    w.i64("multi.transmissions", p.transmissions[static_cast<std::size_t>(s)]);
-    w.i64("multi.collisions", p.collisions[static_cast<std::size_t>(s)]);
-  }
-}
-
-void load_progress(dsp::ser::Reader& r, Progress& p) {
-  p.slot = r.u64("multi.slot");
-  for (int s = 0; s < kSchemes; ++s) {
-    p.delivered[static_cast<std::size_t>(s)] = r.i64("multi.delivered");
-    p.read_ok[static_cast<std::size_t>(s)] = r.i64("multi.read_ok");
-    p.transmissions[static_cast<std::size_t>(s)] = r.i64("multi.transmissions");
-    p.collisions[static_cast<std::size_t>(s)] = r.i64("multi.collisions");
+template <class Ar>
+void io_progress(Progress& p, Ar& ar) {
+  ar.field("multi.slot", p.slot);
+  for (std::size_t s = 0; s < kSchemes; ++s) {
+    ar.field("multi.delivered", p.delivered[s]);
+    ar.field("multi.read_ok", p.read_ok[s]);
+    ar.field("multi.transmissions", p.transmissions[s]);
+    ar.field("multi.collisions", p.collisions[s]);
   }
 }
 
@@ -84,46 +74,31 @@ ScenarioOutcome MultiReaderRunner::run(bool from_checkpoint) {
   dsp::Rng coordinator(dsp::trial_seed(script_.seed, 0xc0de));
   std::optional<core::InventorySession> session;
 
+  const auto fingerprint = [&](auto& ar) {
+    ar.expect("scenario.name", script_.name);
+    ar.expect("scenario.seed", script_.seed);
+    ar.expect("scenario.mode", "multi_reader");
+    ar.expect("scenario.passes", passes);
+  };
+  const auto payload = [&](auto& ar) {
+    io_progress(p, ar);
+    ar.field("multi.coordinator", coordinator);
+    // Mid-scheme kill: the scheme's session and its stream state. At a
+    // scheme boundary there is no session record and the loop constructs a
+    // fresh one, exactly as an unkilled run would.
+    ar.optional("multi.has_session", session, [&] {
+      return make_session(static_cast<int>(p.slot / passes));
+    });
+  };
   if (from_checkpoint) {
-    const auto content = dsp::ser::read_file(control_.checkpoint_path);
-    if (!content) {
-      throw std::runtime_error("scenario resume: cannot read " +
-                               control_.checkpoint_path);
-    }
-    dsp::ser::Reader r(*content, kScenarioCheckpointHeader);
-    if (r.str("scenario.name") != script_.name ||
-        r.u64("scenario.seed") != script_.seed ||
-        r.str("scenario.mode") != "multi_reader" ||
-        r.u64("scenario.passes") != passes) {
-      throw std::runtime_error(
-          "scenario resume: checkpoint was written by a different script");
-    }
-    load_progress(r, p);
-    r.rng("multi.coordinator", coordinator);
-    if (r.u64("multi.has_session") != 0) {
-      // Mid-scheme kill: rebuild the scheme's session and restore its
-      // stream state. At a scheme boundary there is no session record and
-      // the loop constructs a fresh one, exactly as an unkilled run would.
-      session.emplace(make_session(static_cast<int>(p.slot / passes)));
-      session->load(r);
-    }
+    dsp::ser::load_file(control_.checkpoint_path, kScenarioCheckpointHeader,
+                        fingerprint, payload);
   }
 
   const auto write_checkpoint = [&]() {
     if (control_.checkpoint_path.empty()) return;
-    dsp::ser::Writer w(kScenarioCheckpointHeader);
-    w.str("scenario.name", script_.name);
-    w.u64("scenario.seed", script_.seed);
-    w.str("scenario.mode", "multi_reader");
-    w.u64("scenario.passes", passes);
-    save_progress(w, p);
-    w.rng("multi.coordinator", coordinator);
-    w.u64("multi.has_session", session ? 1 : 0);
-    if (session) session->save(w);
-    if (!dsp::ser::atomic_write_file(control_.checkpoint_path, w.payload())) {
-      throw std::runtime_error("scenario checkpoint: cannot write " +
-                               control_.checkpoint_path);
-    }
+    dsp::ser::save_file(control_.checkpoint_path, kScenarioCheckpointHeader,
+                        fingerprint, payload);
   };
 
   const std::vector<std::uint8_t> sensor_ids{

@@ -91,14 +91,13 @@ BridgeState FootbridgeModel::step(Real t_days, const WeatherSample& weather,
   return state;
 }
 
-void FootbridgeModel::save(dsp::ser::Writer& w) const {
-  w.rng("bridge.rng", rng_);
-  pedestrians_.save(w);
+template <class Self, class Ar>
+void FootbridgeModel::io(Self& self, Ar& ar) {
+  ar.field("bridge.rng", self.rng_);
+  ar.nested(self.pedestrians_);
 }
 
-void FootbridgeModel::load(dsp::ser::Reader& r) {
-  r.rng("bridge.rng", rng_);
-  pedestrians_.load(r);
-}
+void FootbridgeModel::save(dsp::ser::Writer& w) const { io(*this, w); }
+void FootbridgeModel::load(dsp::ser::Reader& r) { io(*this, r); }
 
 }  // namespace ecocap::shm

@@ -109,6 +109,7 @@ class FootbridgeModel {
   const Config& config() const { return config_; }
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   Config config_;
   PedestrianModel pedestrians_;
   dsp::Rng rng_;

@@ -36,186 +36,89 @@ void accumulate(reader::InventoryStats& into,
   into.deadline_trips += s.deadline_trips;
 }
 
-/// (node, sensor) -> (last good reading, the hour it was measured).
-using HoldMap = std::map<std::pair<std::uint16_t, std::uint8_t>,
-                         std::pair<reader::SensorReading, Real>>;
+/// (node, sensor) -> (last good value, the hour it was measured).
+using HoldMap =
+    std::map<std::pair<std::uint16_t, std::uint8_t>, std::pair<Real, Real>>;
 
-void save_stats(dsp::ser::Writer& w, const reader::InventoryStats& s) {
-  w.i64("stats.rounds", s.rounds);
-  w.i64("stats.slots", s.slots);
-  w.i64("stats.empty_slots", s.empty_slots);
-  w.i64("stats.collisions", s.collisions);
-  w.i64("stats.singleton_slots", s.singleton_slots);
-  w.i64("stats.acked", s.acked);
-  w.i64("stats.read_ok", s.read_ok);
-  w.i64("stats.read_failed", s.read_failed);
-  w.i64("stats.retries", s.retries);
-  w.i64("stats.timeouts", s.timeouts);
-  w.i64("stats.crc_fails", s.crc_fails);
-  w.i64("stats.giveups", s.giveups);
-  w.i64("stats.backoff_slots", s.backoff_slots);
-  w.i64("stats.deadline_trips", s.deadline_trips);
+template <class Stats, class Ar>
+void io_stats(Stats& s, Ar& ar) {
+  ar.field("stats.rounds", s.rounds);
+  ar.field("stats.slots", s.slots);
+  ar.field("stats.empty_slots", s.empty_slots);
+  ar.field("stats.collisions", s.collisions);
+  ar.field("stats.singleton_slots", s.singleton_slots);
+  ar.field("stats.acked", s.acked);
+  ar.field("stats.read_ok", s.read_ok);
+  ar.field("stats.read_failed", s.read_failed);
+  ar.field("stats.retries", s.retries);
+  ar.field("stats.timeouts", s.timeouts);
+  ar.field("stats.crc_fails", s.crc_fails);
+  ar.field("stats.giveups", s.giveups);
+  ar.field("stats.backoff_slots", s.backoff_slots);
+  ar.field("stats.deadline_trips", s.deadline_trips);
 }
 
-void load_stats(dsp::ser::Reader& r, reader::InventoryStats& s) {
-  s.rounds = static_cast<int>(r.i64("stats.rounds"));
-  s.slots = static_cast<int>(r.i64("stats.slots"));
-  s.empty_slots = static_cast<int>(r.i64("stats.empty_slots"));
-  s.collisions = static_cast<int>(r.i64("stats.collisions"));
-  s.singleton_slots = static_cast<int>(r.i64("stats.singleton_slots"));
-  s.acked = static_cast<int>(r.i64("stats.acked"));
-  s.read_ok = static_cast<int>(r.i64("stats.read_ok"));
-  s.read_failed = static_cast<int>(r.i64("stats.read_failed"));
-  s.retries = static_cast<int>(r.i64("stats.retries"));
-  s.timeouts = static_cast<int>(r.i64("stats.timeouts"));
-  s.crc_fails = static_cast<int>(r.i64("stats.crc_fails"));
-  s.giveups = static_cast<int>(r.i64("stats.giveups"));
-  s.backoff_slots = static_cast<int>(r.i64("stats.backoff_slots"));
-  s.deadline_trips = static_cast<int>(r.i64("stats.deadline_trips"));
+template <class Reading, class Ar>
+void io_reading(Reading& s, Ar& ar) {
+  ar.field("reading.node", s.node_id);
+  ar.field("reading.sensor", s.sensor_id);
+  ar.field("reading.value", s.value);
 }
 
-void save_series(dsp::ser::Writer& w, std::string_view key,
-                 const TimeSeries& ts) {
-  const auto span = ts.values();
-  w.real_vec(key, std::vector<Real>(span.begin(), span.end()));
-}
+/// The partial result a resumed campaign continues from. The health
+/// histogram goes through a flattened (section, letter) -> count copy,
+/// rebuilt afterwards (unchanged when saving).
+template <class Ar>
+void io_result(CampaignResult& res, Ar& ar) {
+  const auto series = [&ar](std::string_view key, TimeSeries& ts) {
+    const auto v = ts.values();
+    ar.value(key, std::vector<Real>(v.begin(), v.end()),
+             [&](auto values) { ts.set_values(std::move(values)); });
+  };
+  series("series.acceleration", res.acceleration);
+  series("series.stress", res.stress);
+  series("series.stress_side", res.stress_side);
+  series("series.humidity", res.humidity);
+  series("series.temperature", res.temperature);
+  series("series.pressure", res.pressure);
+  series("series.pao", res.pao);
 
-void load_series(dsp::ser::Reader& r, std::string_view key, TimeSeries& ts) {
-  ts.set_values(r.real_vec(key));
-}
-
-void save_reading(dsp::ser::Writer& w, const reader::SensorReading& s) {
-  w.u64("reading.node", s.node_id);
-  w.u64("reading.sensor", s.sensor_id);
-  w.real("reading.value", s.value);
-}
-
-reader::SensorReading load_reading(dsp::ser::Reader& r) {
-  reader::SensorReading s;
-  s.node_id = static_cast<std::uint16_t>(r.u64("reading.node"));
-  s.sensor_id = static_cast<std::uint8_t>(r.u64("reading.sensor"));
-  s.value = r.real("reading.value");
-  return s;
-}
-
-void save_result(dsp::ser::Writer& w, const CampaignResult& res) {
-  save_series(w, "series.acceleration", res.acceleration);
-  save_series(w, "series.stress", res.stress);
-  save_series(w, "series.stress_side", res.stress_side);
-  save_series(w, "series.humidity", res.humidity);
-  save_series(w, "series.temperature", res.temperature);
-  save_series(w, "series.pressure", res.pressure);
-  save_series(w, "series.pao", res.pao);
-
-  w.u64("result.minute_reports", res.minute_reports.size());
-  for (const auto& row : res.minute_reports) {
-    for (const auto& sec : row) {
-      w.i64("report.section", sec.section);
-      w.i64("report.pedestrians", sec.pedestrians);
-      w.i64("report.health", static_cast<std::int64_t>(sec.health));
-      w.real("report.speed", sec.walking_speed);
-    }
-  }
-
-  std::size_t hist_entries = 0;
-  for (const auto& by_section : res.health_histogram) {
-    hist_entries += by_section.second.size();
-  }
-  w.u64("result.health_histogram", hist_entries);
-  for (const auto& [sec, m] : res.health_histogram) {
-    for (const auto& [letter, count] : m) {
-      w.i64("hist.section", sec);
-      w.i64("hist.letter", letter);
-      w.i64("hist.count", count);
-    }
-  }
-
-  w.i64("result.limit_violations", res.limit_violations);
-
-  w.u64("result.capsule_readings", res.capsule_readings.size());
-  for (const auto& cr : res.capsule_readings) save_reading(w, cr);
-
-  w.u64("result.capsule_log", res.capsule_log.size());
-  for (const auto& entry : res.capsule_log) {
-    save_reading(w, entry.reading);
-    w.u64("log.stale", entry.stale ? 1 : 0);
-    w.real("log.age_hours", entry.age_hours);
-  }
-
-  w.u64("result.max_staleness", res.max_staleness_hours.size());
-  for (const auto& [node, hours] : res.max_staleness_hours) {
-    w.u64("staleness.node", node);
-    w.real("staleness.hours", hours);
-  }
-
-  save_stats(w, res.inventory_totals);
-}
-
-void load_result(dsp::ser::Reader& r, CampaignResult& res) {
-  load_series(r, "series.acceleration", res.acceleration);
-  load_series(r, "series.stress", res.stress);
-  load_series(r, "series.stress_side", res.stress_side);
-  load_series(r, "series.humidity", res.humidity);
-  load_series(r, "series.temperature", res.temperature);
-  load_series(r, "series.pressure", res.pressure);
-  load_series(r, "series.pao", res.pao);
-
-  const std::uint64_t rows = r.u64("result.minute_reports");
-  res.minute_reports.clear();
-  res.minute_reports.reserve(rows);
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    std::array<SectionReport, 5> row;
+  ar.seq("result.minute_reports", res.minute_reports, [&](auto& row) {
     for (auto& sec : row) {
-      sec.section = static_cast<char>(r.i64("report.section"));
-      sec.pedestrians = static_cast<int>(r.i64("report.pedestrians"));
-      const std::int64_t h = r.i64("report.health");
-      if (h < static_cast<std::int64_t>(HealthLevel::kA) ||
-          h > static_cast<std::int64_t>(HealthLevel::kF)) {
-        throw std::runtime_error("checkpoint: bad health level");
-      }
-      sec.health = static_cast<HealthLevel>(h);
-      sec.walking_speed = r.real("report.speed");
+      ar.field("report.section", sec.section);
+      ar.field("report.pedestrians", sec.pedestrians);
+      ar.field("report.health", sec.health, HealthLevel::kA, HealthLevel::kF);
+      ar.field("report.speed", sec.walking_speed);
     }
-    res.minute_reports.push_back(row);
-  }
+  });
 
-  const std::uint64_t hist_entries = r.u64("result.health_histogram");
+  std::map<std::pair<char, char>, int> hist;
+  for (const auto& [sec, m] : res.health_histogram) {
+    for (const auto& [letter, count] : m) hist[{sec, letter}] = count;
+  }
+  ar.seq("result.health_histogram", hist, [&](auto& entry) {
+    ar.field("hist.section", entry.first.first);
+    ar.field("hist.letter", entry.first.second);
+    ar.field("hist.count", entry.second);
+  });
   res.health_histogram.clear();
-  for (std::uint64_t i = 0; i < hist_entries; ++i) {
-    const char sec = static_cast<char>(r.i64("hist.section"));
-    const char letter = static_cast<char>(r.i64("hist.letter"));
-    res.health_histogram[sec][letter] =
-        static_cast<int>(r.i64("hist.count"));
+  for (const auto& [key, count] : hist) {
+    res.health_histogram[key.first][key.second] = count;
   }
 
-  res.limit_violations = static_cast<int>(r.i64("result.limit_violations"));
-
-  const std::uint64_t readings = r.u64("result.capsule_readings");
-  res.capsule_readings.clear();
-  res.capsule_readings.reserve(readings);
-  for (std::uint64_t i = 0; i < readings; ++i) {
-    res.capsule_readings.push_back(load_reading(r));
-  }
-
-  const std::uint64_t log_entries = r.u64("result.capsule_log");
-  res.capsule_log.clear();
-  res.capsule_log.reserve(log_entries);
-  for (std::uint64_t i = 0; i < log_entries; ++i) {
-    CapsuleReading entry;
-    entry.reading = load_reading(r);
-    entry.stale = r.u64("log.stale") != 0;
-    entry.age_hours = r.real("log.age_hours");
-    res.capsule_log.push_back(entry);
-  }
-
-  const std::uint64_t stale_nodes = r.u64("result.max_staleness");
-  res.max_staleness_hours.clear();
-  for (std::uint64_t i = 0; i < stale_nodes; ++i) {
-    const auto node = static_cast<std::uint16_t>(r.u64("staleness.node"));
-    res.max_staleness_hours[node] = r.real("staleness.hours");
-  }
-
-  load_stats(r, res.inventory_totals);
+  ar.field("result.limit_violations", res.limit_violations);
+  ar.seq("result.capsule_readings", res.capsule_readings,
+         [&](auto& reading) { io_reading(reading, ar); });
+  ar.seq("result.capsule_log", res.capsule_log, [&](auto& entry) {
+    io_reading(entry.reading, ar);
+    ar.field("log.stale", entry.stale);
+    ar.field("log.age_hours", entry.age_hours);
+  });
+  ar.seq("result.max_staleness", res.max_staleness_hours, [&](auto& entry) {
+    ar.field("staleness.node", entry.first);
+    ar.field("staleness.hours", entry.second);
+  });
+  io_stats(res.inventory_totals, ar);
 }
 
 }  // namespace
@@ -269,36 +172,37 @@ CampaignResult MonitoringCampaign::run_impl(bool from_checkpoint) {
   HoldMap last_good;
   std::size_t start_step = 0;
 
+  // Config fingerprint: a checkpoint only resumes the campaign that wrote
+  // it. Hexfloat round trips are exact, so == is the right test.
+  const auto fingerprint = [this](auto& ar) {
+    ar.expect("config.days", config_.days);
+    ar.expect("config.step_minutes", config_.step_minutes);
+    ar.expect("config.capsule_count", config_.capsule_count);
+    ar.expect("config.poll_hours", config_.capsule_poll_hours);
+    ar.expect("config.seed", config_.seed);
+    ar.expect("config.supervised", config_.supervisor.enabled);
+  };
+  // State after step k-1 with cursor k resumes at step k: everything the
+  // loop body mutates is serialized, so the continuation replays the exact
+  // draw sequence of an uninterrupted run.
+  std::size_t resume_step = 0;
+  const auto payload = [&](auto& ar) {
+    ar.field("campaign.cursor", resume_step);
+    io_result(result, ar);
+    ar.seq("campaign.held", last_good, [&](auto& entry) {
+      ar.field("reading.node", entry.first.first);
+      ar.field("reading.sensor", entry.first.second);
+      ar.field("reading.value", entry.second.first);
+      ar.field("held.hours", entry.second.second);
+    });
+    ar.nested(weather);
+    ar.nested(bridge);
+    ar.nested(session);
+  };
   if (from_checkpoint) {
-    const auto content = dsp::ser::read_file(config_.checkpoint_path);
-    if (!content) {
-      throw std::runtime_error("resume: cannot read checkpoint " +
-                               config_.checkpoint_path);
-    }
-    dsp::ser::Reader r(*content, kCheckpointHeader);
-    // Config fingerprint: a checkpoint only resumes the campaign that
-    // wrote it. Hexfloat round trips are exact, so == is the right test.
-    if (r.real("config.days") != config_.days ||
-        r.real("config.step_minutes") != config_.step_minutes ||
-        static_cast<int>(r.i64("config.capsule_count")) !=
-            config_.capsule_count ||
-        r.real("config.poll_hours") != config_.capsule_poll_hours ||
-        r.u64("config.seed") != config_.seed ||
-        (r.u64("config.supervised") != 0) != config_.supervisor.enabled) {
-      throw std::runtime_error(
-          "resume: checkpoint was written by a different campaign config");
-    }
-    start_step = r.u64("campaign.cursor");
-    load_result(r, result);
-    const std::uint64_t held = r.u64("campaign.held");
-    for (std::uint64_t i = 0; i < held; ++i) {
-      const reader::SensorReading s = load_reading(r);
-      const Real hours = r.real("held.hours");
-      last_good[{s.node_id, s.sensor_id}] = {s, hours};
-    }
-    weather.load(r);
-    bridge.load(r);
-    session.load(r);
+    dsp::ser::load_file(config_.checkpoint_path, kCheckpointHeader,
+                        fingerprint, payload);
+    start_step = resume_step;
   }
 
   const auto steps = static_cast<std::size_t>(
@@ -324,31 +228,10 @@ CampaignResult MonitoringCampaign::run_impl(bool from_checkpoint) {
     result.minute_reports.reserve(steps / 60 + 1);
   }
 
-  // State after step k-1 with cursor k resumes at step k: everything the
-  // loop body mutates is serialized, so the continuation replays the exact
-  // draw sequence of an uninterrupted run.
-  const auto write_checkpoint = [&](std::size_t cursor) {
-    dsp::ser::Writer w(kCheckpointHeader);
-    w.real("config.days", config_.days);
-    w.real("config.step_minutes", config_.step_minutes);
-    w.i64("config.capsule_count", config_.capsule_count);
-    w.real("config.poll_hours", config_.capsule_poll_hours);
-    w.u64("config.seed", config_.seed);
-    w.u64("config.supervised", config_.supervisor.enabled ? 1 : 0);
-    w.u64("campaign.cursor", cursor);
-    save_result(w, result);
-    w.u64("campaign.held", last_good.size());
-    for (const auto& entry : last_good) {
-      save_reading(w, entry.second.first);
-      w.real("held.hours", entry.second.second);
-    }
-    weather.save(w);
-    bridge.save(w);
-    session.save(w);
-    if (!dsp::ser::atomic_write_file(config_.checkpoint_path, w.payload())) {
-      throw std::runtime_error("checkpoint: cannot write " +
-                               config_.checkpoint_path);
-    }
+  const auto write_checkpoint = [&](std::size_t next_step) {
+    resume_step = next_step;
+    dsp::ser::save_file(config_.checkpoint_path, kCheckpointHeader,
+                        fingerprint, payload);
   };
 
   for (std::size_t k = start_step; k < steps; ++k) {
@@ -433,7 +316,7 @@ CampaignResult MonitoringCampaign::run_impl(bool from_checkpoint) {
       // last good value and carry a staleness age for the dashboard.
       const Real now_hours = t_days * 24.0;
       for (const auto& r : readings.readings) {
-        last_good[{r.node_id, r.sensor_id}] = {r, now_hours};
+        last_good[{r.node_id, r.sensor_id}] = {r.value, now_hours};
       }
       for (int i = 0; i < config_.capsule_count; ++i) {
         const auto node_id = static_cast<std::uint16_t>(0x100 + i);
@@ -443,8 +326,8 @@ CampaignResult MonitoringCampaign::run_impl(bool from_checkpoint) {
           const Real age = now_hours - it->second.second;
           const bool stale = age > 0.0;
           if (config_.record_series) {
-            result.capsule_log.push_back(
-                CapsuleReading{it->second.first, stale, age});
+            result.capsule_log.push_back(CapsuleReading{
+                {node_id, sensor, it->second.first}, stale, age});
           }
           if (stale) {
             Real& worst = result.max_staleness_hours[node_id];

@@ -61,13 +61,13 @@ Real PedestrianModel::walking_speed(int count,
   return speed;
 }
 
-void PedestrianModel::save(dsp::ser::Writer& w) const {
-  w.rng("pedestrians.rng", rng_);
+template <class Self, class Ar>
+void PedestrianModel::io(Self& self, Ar& ar) {
+  ar.field("pedestrians.rng", self.rng_);
 }
 
-void PedestrianModel::load(dsp::ser::Reader& r) {
-  r.rng("pedestrians.rng", rng_);
-}
+void PedestrianModel::save(dsp::ser::Writer& w) const { io(*this, w); }
+void PedestrianModel::load(dsp::ser::Reader& r) { io(*this, r); }
 
 Real pedestrian_area_occupancy(Real section_area, int count) {
   if (count <= 0) return std::numeric_limits<Real>::infinity();

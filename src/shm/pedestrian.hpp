@@ -44,6 +44,7 @@ class PedestrianModel {
   void load(dsp::ser::Reader& r);
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   Config config_;
   mutable dsp::Rng rng_;
 };

@@ -54,10 +54,12 @@ WeatherSample WeatherModel::sample(Real t_days) {
   return w;
 }
 
-void WeatherModel::save(dsp::ser::Writer& w) const {
-  w.rng("weather.rng", rng_);
+template <class Self, class Ar>
+void WeatherModel::io(Self& self, Ar& ar) {
+  ar.field("weather.rng", self.rng_);
 }
 
-void WeatherModel::load(dsp::ser::Reader& r) { r.rng("weather.rng", rng_); }
+void WeatherModel::save(dsp::ser::Writer& w) const { io(*this, w); }
+void WeatherModel::load(dsp::ser::Reader& r) { io(*this, r); }
 
 }  // namespace ecocap::shm

@@ -53,6 +53,7 @@ class WeatherModel {
   void load(dsp::ser::Reader& r);
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   Config config_;
   dsp::Rng rng_;
 };

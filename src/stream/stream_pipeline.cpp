@@ -23,6 +23,18 @@ constexpr std::uint64_t kDownlinkNoise = 0x7a11;
 constexpr std::uint64_t kUplinkNoise = 0x7a12;
 constexpr std::uint64_t kInjectorBase = 0x7a20;
 
+/// Stream position, clock counters and the live plan: load() rebuilds the
+/// injectors and the clock from these before the stages load into them.
+template <class Ar>
+void io_cursor(Ar& ar, auto&& pos, auto&& epoch, auto&& clock_samples,
+               auto&& clock_blocks, auto& plan) {
+  ar.field("sp.pos", pos);
+  ar.field("sp.fault_epoch", epoch);
+  ar.field("sp.clock_samples", clock_samples);
+  ar.field("sp.clock_blocks", clock_blocks);
+  ar.nested(plan);
+}
+
 NodeStage::Config node_config(const core::SystemConfig& system) {
   NodeStage::Config c;
   c.harvester = system.capsule.harvester;
@@ -99,37 +111,34 @@ void StreamPipeline::set_block_size(std::size_t block_size) {
   config_.block_size = block_size;
 }
 
+template <class Self, class Ar>
+void StreamPipeline::io_stages(Self& self, Ar& ar) {
+  ar.nested(self.tx_);
+  ar.nested(self.dl_);
+  ar.nested(self.node_);
+  ar.nested(self.ul_);
+  ar.nested(self.rx_);
+}
+
 void StreamPipeline::save(dsp::ser::Writer& w) const {
-  w.u64("sp.pos", pos_);
-  w.u64("sp.fault_epoch", fault_epoch_);
-  w.u64("sp.clock_samples", clock_.samples());
-  w.u64("sp.clock_blocks", clock_.blocks());
-  fault::save_plan(w, active_plan_);
-  tx_.save(w);
-  dl_.save(w);
-  node_.save(w);
-  ul_.save(w);
-  rx_.save(w);
+  io_cursor(w, pos_, fault_epoch_, clock_.samples(), clock_.blocks(),
+            active_plan_);
+  io_stages(*this, w);
 }
 
 void StreamPipeline::load(dsp::ser::Reader& r) {
-  pos_ = r.u64("sp.pos");
-  const std::uint64_t epoch = r.u64("sp.fault_epoch");
-  const std::uint64_t clock_samples = r.u64("sp.clock_samples");
-  const std::uint64_t clock_blocks = r.u64("sp.clock_blocks");
-  const fault::FaultPlan plan = fault::load_plan(r);
+  std::uint64_t pos = 0, epoch = 0, clock_samples = 0, clock_blocks = 0;
+  fault::FaultPlan plan;
+  io_cursor(r, pos, epoch, clock_samples, clock_blocks, plan);
   // Rebuild the injectors against the checkpointed plan (their seeding is
   // irrelevant — the stage loads below restore the exact RNG stream
   // positions), then restore the epoch counter so the next mid-run swap
   // derives the same fresh streams an uninterrupted run would.
   set_fault_plan(plan);
+  pos_ = pos;
   fault_epoch_ = epoch;
   clock_.resume_at(clock_samples, clock_blocks);
-  tx_.load(r);
-  dl_.load(r);
-  node_.load(r);
-  ul_.load(r);
-  rx_.load(r);
+  io_stages(*this, r);
 }
 
 void StreamPipeline::schedule_emission(ScheduledEmission e) {

@@ -114,6 +114,8 @@ class StreamPipeline {
   void load(dsp::ser::Reader& r);
 
  private:
+  template <class Self, class Ar>
+  static void io_stages(Self& self, Ar& ar);
   void run_inline(std::uint64_t until);
   void run_threaded(std::uint64_t until);
   static Real derive_si_amplitude(const channel::ConcreteChannel& channel,

@@ -25,15 +25,15 @@ void TxStage::fill_block(std::size_t n, Signal& out) {
   pzt_.drive_inplace(out);
 }
 
-void TxStage::save(dsp::ser::Writer& w) const {
-  w.real("tx.phase", osc_.phase());
-  pzt_.save(w);
+template <class Self, class Ar>
+void TxStage::io(Self& self, Ar& ar) {
+  ar.value("tx.phase", self.osc_.phase(),
+           [&](auto phase) { self.osc_.reset_phase(phase); });
+  ar.nested(self.pzt_);
 }
 
-void TxStage::load(dsp::ser::Reader& r) {
-  osc_.reset_phase(r.real("tx.phase"));
-  pzt_.load(r);
-}
+void TxStage::save(dsp::ser::Writer& w) const { io(*this, w); }
+void TxStage::load(dsp::ser::Reader& r) { io(*this, r); }
 
 // ----------------------------------------------------------- DownlinkStage
 
@@ -53,15 +53,14 @@ void DownlinkStage::set_injector(fault::Injector injector) {
   injector_ = std::move(injector);
 }
 
-void DownlinkStage::save(dsp::ser::Writer& w) const {
-  stream_.save(w);
-  injector_.save(w);
+template <class Self, class Ar>
+void DownlinkStage::io(Self& self, Ar& ar) {
+  ar.nested(self.stream_);
+  ar.nested(self.injector_);
 }
 
-void DownlinkStage::load(dsp::ser::Reader& r) {
-  stream_.load(r);
-  injector_.load(r);
-}
+void DownlinkStage::save(dsp::ser::Writer& w) const { io(*this, w); }
+void DownlinkStage::load(dsp::ser::Reader& r) { io(*this, r); }
 
 // --------------------------------------------------------------- NodeStage
 
@@ -96,6 +95,15 @@ std::vector<NodeFrameEvent> NodeStage::drain_events() {
   return out;
 }
 
+template <class Self, class Ar>
+void NodeStage::io(Self& self, Ar& ar) {
+  ar.field("ns.pos", self.pos_);
+  ar.field("ns.chunk_peak", self.chunk_peak_);
+  ar.field("ns.chunk_fill", self.chunk_fill_);
+  ar.nested(self.harvester_);
+  ar.nested(self.injector_);
+}
+
 void NodeStage::save(dsp::ser::Writer& w) const {
   if (!queue_.empty() || !events_.empty()) {
     throw std::runtime_error(
@@ -107,19 +115,11 @@ void NodeStage::save(dsp::ser::Writer& w) const {
   // A stale active_ (its switching already fully consumed) would be reset
   // without any RNG draw at the next push_block, so "no active emission"
   // serializes the equivalent state.
-  w.u64("ns.pos", pos_);
-  w.real("ns.chunk_peak", chunk_peak_);
-  w.u64("ns.chunk_fill", chunk_fill_);
-  harvester_.save(w);
-  injector_.save(w);
+  io(*this, w);
 }
 
 void NodeStage::load(dsp::ser::Reader& r) {
-  pos_ = r.u64("ns.pos");
-  chunk_peak_ = r.real("ns.chunk_peak");
-  chunk_fill_ = static_cast<std::size_t>(r.u64("ns.chunk_fill"));
-  harvester_.load(r);
-  injector_.load(r);
+  io(*this, r);
   queue_.clear();
   active_.reset();
   events_.clear();
@@ -225,15 +225,14 @@ void UplinkStage::set_injector(fault::Injector injector) {
   injector_ = std::move(injector);
 }
 
-void UplinkStage::save(dsp::ser::Writer& w) const {
-  stream_.save(w);
-  injector_.save(w);
+template <class Self, class Ar>
+void UplinkStage::io(Self& self, Ar& ar) {
+  ar.nested(self.stream_);
+  ar.nested(self.injector_);
 }
 
-void UplinkStage::load(dsp::ser::Reader& r) {
-  stream_.load(r);
-  injector_.load(r);
-}
+void UplinkStage::save(dsp::ser::Writer& w) const { io(*this, w); }
+void UplinkStage::load(dsp::ser::Reader& r) { io(*this, r); }
 
 // ----------------------------------------------------------------- RxStage
 
@@ -286,17 +285,22 @@ std::vector<DecodedUplink> RxStage::drain_decodes() {
   return out;
 }
 
+template <class Self, class Ar>
+void RxStage::io(Self& self, Ar& ar) {
+  ar.field("rx.pos", self.pos_);
+}
+
 void RxStage::save(dsp::ser::Writer& w) const {
   if (!pending_.empty() || !decodes_.empty()) {
     throw std::runtime_error(
         "checkpoint: RxStage not quiescent (open capture or undrained "
         "decodes)");
   }
-  w.u64("rx.pos", pos_);
+  io(*this, w);
 }
 
 void RxStage::load(dsp::ser::Reader& r) {
-  pos_ = r.u64("rx.pos");
+  io(*this, r);
   pending_.clear();
   decodes_.clear();
 }

@@ -87,6 +87,7 @@ class TxStage {
   void load(dsp::ser::Reader& r);
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   dsp::Oscillator osc_;
   phy::RingingPzt pzt_;
 };
@@ -110,6 +111,7 @@ class DownlinkStage {
   void load(dsp::ser::Reader& r);
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   channel::ConcreteChannel::DownlinkStream stream_;
   Real volts_scale_;
   Real fs_;
@@ -164,6 +166,7 @@ class NodeStage {
   void load(dsp::ser::Reader& r);
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   void harvest_segment(const Real* x, std::size_t n);
   void begin_emission(std::uint64_t abs);
 
@@ -202,6 +205,7 @@ class UplinkStage {
   void load(dsp::ser::Reader& r);
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   channel::ConcreteChannel::UplinkStream stream_;
   Real fs_;
   fault::Injector injector_;
@@ -245,6 +249,7 @@ class RxStage {
   void load(dsp::ser::Reader& r);
 
  private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
   reader::Receiver receiver_;
   dsp::Workspace ws_;
   struct Pending {

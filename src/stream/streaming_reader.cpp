@@ -16,6 +16,16 @@ namespace {
 constexpr std::string_view kCheckpointHeader =
     "ecocap-streaming-reader-checkpoint v1";
 
+/// A checkpoint only resumes into a reader built from the same
+/// deterministic universe.
+template <class Ar>
+void fingerprint(const StreamingReaderConfig& c, Ar& ar) {
+  ar.expect("sr.seed", c.stream.system.seed);
+  ar.expect("sr.node_id", c.stream.system.capsule.firmware.node_id);
+  ar.expect("sr.fs", c.stream.system.channel.fs);
+  ar.expect("sr.poll_interval", c.poll_interval_s);
+}
+
 fleet::TelemetryStore::Config telemetry_config(
     const StreamingReaderConfig& config) {
   auto c = config.telemetry;
@@ -257,65 +267,47 @@ StreamingReaderStats StreamingReader::stats() const {
   return s;
 }
 
-std::string StreamingReader::checkpoint() const {
-  dsp::ser::Writer w(kCheckpointHeader);
-  // Config fingerprint: a checkpoint only resumes into a reader built from
-  // the same deterministic universe.
-  w.u64("sr.seed", config_.stream.system.seed);
-  w.u64("sr.node_id", config_.stream.system.capsule.firmware.node_id);
-  w.real("sr.fs", config_.stream.system.channel.fs);
-  w.real("sr.poll_interval", config_.poll_interval_s);
+template <class Self, class Ar>
+void StreamingReader::io(Self& self, Ar& ar) {
   // Daemon cursors + cumulative counters.
-  w.u64("sr.next_fault", next_fault_);
-  w.u64("sr.poll_index", poll_index_);
-  w.u64("sr.warmed_up", warmed_up_ ? 1 : 0);
-  w.u64("sr.polls", stats_.polls);
-  w.u64("sr.delivered", stats_.delivered);
-  w.u64("sr.missed", stats_.missed);
-  w.u64("sr.skipped", stats_.skipped);
-  w.u64("sr.frames_scheduled", stats_.frames_scheduled);
-  w.u64("sr.frames_dropped_unpowered", stats_.frames_dropped_unpowered);
-  w.u64("sr.brownouts", stats_.brownouts);
-  w.u64("sr.fault_events_applied", stats_.fault_events_applied);
-  w.u64("sr.events_dropped", stats_.events_dropped);
-  pipeline_.save(w);
-  firmware_.save(w);
-  supervisor_.save(w);
-  const fleet::TelemetryStore& store =
-      config_.shared_store ? *config_.shared_store : telemetry_;
-  store.save_node(config_.shared_store ? config_.store_node : 0, w);
-  return w.payload();
+  auto& st = self.stats_;
+  ar.field("sr.next_fault", self.next_fault_);
+  ar.field("sr.poll_index", self.poll_index_);
+  ar.field("sr.warmed_up", self.warmed_up_);
+  ar.field("sr.polls", st.polls);
+  ar.field("sr.delivered", st.delivered);
+  ar.field("sr.missed", st.missed);
+  ar.field("sr.skipped", st.skipped);
+  ar.field("sr.frames_scheduled", st.frames_scheduled);
+  ar.field("sr.frames_dropped_unpowered", st.frames_dropped_unpowered);
+  ar.field("sr.brownouts", st.brownouts);
+  ar.field("sr.fault_events_applied", st.fault_events_applied);
+  ar.field("sr.events_dropped", st.events_dropped);
+  ar.nested(self.pipeline_);
+  ar.nested(self.firmware_);
+  ar.nested(self.supervisor_);
+}
+
+std::string StreamingReader::checkpoint() const {
+  return dsp::ser::save(
+      kCheckpointHeader, [this](auto& ar) { fingerprint(config_, ar); },
+      [this](dsp::ser::Writer& w) {
+        io(*this, w);
+        const fleet::TelemetryStore& store =
+            config_.shared_store ? *config_.shared_store : telemetry_;
+        store.save_node(store_node(), w);
+      });
 }
 
 void StreamingReader::resume(const std::string& payload) {
-  dsp::ser::Reader r(payload, kCheckpointHeader);
-  if (r.u64("sr.seed") != config_.stream.system.seed ||
-      r.u64("sr.node_id") != config_.stream.system.capsule.firmware.node_id) {
-    throw std::runtime_error(
-        "checkpoint: seed/node fingerprint mismatch (wrong daemon?)");
-  }
-  if (r.real("sr.fs") != config_.stream.system.channel.fs ||
-      r.real("sr.poll_interval") != config_.poll_interval_s) {
-    throw std::runtime_error(
-        "checkpoint: rate fingerprint mismatch (config drifted?)");
-  }
-  next_fault_ = static_cast<std::size_t>(r.u64("sr.next_fault"));
-  poll_index_ = r.u64("sr.poll_index");
-  warmed_up_ = r.u64("sr.warmed_up") != 0;
   stats_ = StreamingReaderStats{};
-  stats_.polls = r.u64("sr.polls");
-  stats_.delivered = r.u64("sr.delivered");
-  stats_.missed = r.u64("sr.missed");
-  stats_.skipped = r.u64("sr.skipped");
-  stats_.frames_scheduled = r.u64("sr.frames_scheduled");
-  stats_.frames_dropped_unpowered = r.u64("sr.frames_dropped_unpowered");
-  stats_.brownouts = r.u64("sr.brownouts");
-  stats_.fault_events_applied = r.u64("sr.fault_events_applied");
-  stats_.events_dropped = r.u64("sr.events_dropped");
-  pipeline_.load(r);
-  firmware_.load(r);
-  supervisor_.load(r);
-  telemetry().load_node(store_node(), r);
+  dsp::ser::load(
+      payload, kCheckpointHeader,
+      [this](auto& ar) { fingerprint(config_, ar); },
+      [this](dsp::ser::Reader& r) {
+        io(*this, r);
+        telemetry().load_node(store_node(), r);
+      });
 }
 
 }  // namespace ecocap::reader

@@ -162,6 +162,7 @@ class StreamingReader {
   void ensure_started();
   /// One interrogation poll ending at absolute sample `poll_end`.
   void poll_once(std::uint64_t poll_end);
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
 
   StreamingReaderConfig config_;
   stream::StreamPipeline pipeline_;

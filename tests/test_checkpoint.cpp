@@ -1,25 +1,50 @@
 // Crash-safe checkpointing: bit-exact real serialization, the strict
 // sequential Writer/Reader, atomic file replacement, RNG stream capture,
 // kill-at-midpoint campaign resume (must be bit-identical to an
-// uninterrupted run), and the long-campaign soak test under an active fault
+// uninterrupted run), the long-campaign soak test under an active fault
 // plan (quarantine entry/exit, staleness monotonicity, no workspace buffer
-// leaks).
+// leaks), and the golden checkpoint corpus: one small checkpoint per
+// checkpoint-file owner, pinned byte for byte, resumed to completion, and
+// swept with every truncation and a set of corruptions that must all be
+// rejected with std::runtime_error.
+//
+// Regenerating the corpus after an intentional format change:
+//   ./test_checkpoint --regen        # rewrites tests/golden/checkpoints/
+// then commit the rewritten files with the change that caused them.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <functional>
 #include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
+#include <vector>
 
+#include "core/link_simulator.hpp"
 #include "core/workspace_pool.hpp"
 #include "dsp/serialize.hpp"
 #include "dsp/workspace.hpp"
+#include "fleet/fleet_engine.hpp"
+#include "scenario/engine.hpp"
+#include "scenario/script.hpp"
 #include "shm/monitor.hpp"
+#include "stream/streaming_reader.hpp"
+
+#include "golden_util.hpp"
+
+#ifndef ECOCAP_GOLDEN_DIR
+#error "ECOCAP_GOLDEN_DIR must point at tests/golden"
+#endif
 
 namespace ecocap {
 namespace {
@@ -334,5 +359,431 @@ TEST(CampaignSoak, QuarantineLifecycleStalenessAndNoBufferLeaks) {
             after.returns - before.returns);
 }
 
+// --- golden checkpoint corpus ---------------------------------------------
+// One small checkpoint per owner that frames checkpoint files or payloads:
+// a campaign, a fleet shard, a streaming daemon, a mobile route and a
+// multi-reader run. Each entry crashes a tiny run mid-way, pins the
+// checkpoint bytes against tests/golden/checkpoints/, and resumes the
+// committed file to completion, which must equal an uninterrupted run.
+
+std::string corpus_path(const std::string& file) {
+  return std::string(ECOCAP_GOLDEN_DIR) + "/checkpoints/" + file;
+}
+
+/// A scratch directory unique to this process and call, removed on scope
+/// exit (also when a resume throws): ctest runs the tests of this binary in
+/// parallel processes, and the fleet engine fixes its shard file names.
+class ScratchDir {
+ public:
+  ScratchDir()
+      : path_(::testing::TempDir() + "ecocap_corpus_" +
+              std::to_string(::getpid()) + "_" + std::to_string(next_++)) {
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  std::string file(const std::string& name) const {
+    return path_ + "/" + name;
+  }
+
+ private:
+  static inline int next_ = 0;
+  std::string path_;
+};
+
+/// A checkpoint owner in the corpus. `make` runs a crashed run and returns
+/// its checkpoint bytes; `resume` finishes a run from the given bytes and
+/// returns a bit-exact digest of the outcome (throws when the bytes are
+/// rejected); `full` is the digest of the uninterrupted run.
+struct CorpusEntry {
+  std::string file;
+  std::function<std::string()> make;
+  std::function<std::string(const std::string&)> resume;
+  std::function<std::string()> full;
+};
+
+std::string write_file(const std::string& path, const std::string& bytes) {
+  EXPECT_TRUE(dsp::ser::atomic_write_file(path, bytes));
+  return path;
+}
+
+std::string read_back(const std::string& path) {
+  const auto content = dsp::ser::read_file(path);
+  EXPECT_TRUE(content.has_value()) << "no checkpoint at " << path;
+  return content.value_or("");
+}
+
+// Campaign: supervised, fault-injected, two capsules, killed at the
+// midpoint of six hours.
+shm::MonitoringCampaign::Config corpus_campaign(const std::string& path) {
+  shm::MonitoringCampaign::Config cfg;
+  cfg.days = 0.25;
+  cfg.step_minutes = 10.0;
+  cfg.capsule_count = 2;
+  cfg.capsule_poll_hours = 1.0;
+  cfg.seed = 909;
+  cfg.retry.enabled = true;
+  cfg.fault = fault::FaultPlan::at_intensity(0.3);
+  cfg.supervisor.enabled = true;
+  cfg.checkpoint_path = path;
+  cfg.checkpoint_hours = 2.0;
+  return cfg;
+}
+
+std::string campaign_digest(const shm::CampaignResult& r) {
+  dsp::ser::Writer w("corpus-campaign-digest v1");
+  for (const shm::TimeSeries* ts :
+       {&r.acceleration, &r.stress, &r.stress_side, &r.humidity,
+        &r.temperature, &r.pressure, &r.pao}) {
+    const auto v = ts->values();
+    w.real_vec("series", std::vector<dsp::Real>(v.begin(), v.end()));
+  }
+  for (const auto& row : r.minute_reports) {
+    for (const auto& sec : row) {
+      w.i64("report", sec.pedestrians * 8 + static_cast<int>(sec.health));
+      w.real("speed", sec.walking_speed);
+    }
+  }
+  for (const auto& [sec, m] : r.health_histogram) {
+    for (const auto& [letter, count] : m) {
+      w.i64("hist", (sec * 256 + letter) * 100000 + count);
+    }
+  }
+  w.i64("violations", r.limit_violations);
+  for (const auto& c : r.capsule_log) {
+    w.u64("log", c.reading.node_id * 256u + c.reading.sensor_id);
+    w.real("value", c.reading.value);
+    w.real("age", c.stale ? c.age_hours : -1.0);
+  }
+  for (const auto& [node, hours] : r.max_staleness_hours) {
+    w.real("stale." + std::to_string(node), hours);
+  }
+  w.i64("read_ok", r.inventory_totals.read_ok);
+  w.i64("retries", r.inventory_totals.retries);
+  w.i64("quarantines", r.supervisor_totals.quarantines);
+  w.i64("fallbacks", r.supervisor_totals.fallbacks);
+  return w.payload();
+}
+
+constexpr const char* kCampaign = "campaign.ckpt";
+
+CorpusEntry campaign_entry() {
+  CorpusEntry e;
+  e.file = kCampaign;
+  e.make = [] {
+    const ScratchDir dir;
+    auto cfg = corpus_campaign(dir.file(kCampaign));
+    cfg.stop_after_steps = 18;  // half of the 36 steps
+    EXPECT_FALSE(shm::MonitoringCampaign(cfg).run().completed);
+    return read_back(cfg.checkpoint_path);
+  };
+  e.resume = [](const std::string& bytes) {
+    const ScratchDir dir;
+    const auto cfg = corpus_campaign(write_file(dir.file(kCampaign), bytes));
+    const shm::CampaignResult r = shm::MonitoringCampaign(cfg).resume();
+    EXPECT_TRUE(r.completed);
+    return campaign_digest(r);
+  };
+  e.full = [] {
+    return campaign_digest(shm::MonitoringCampaign(corpus_campaign("")).run());
+  };
+  return e;
+}
+
+// Fleet: two structures in one shard, killed after the first.
+fleet::FleetEngine::Config corpus_fleet(const std::string& dir) {
+  fleet::FleetEngine::Config cfg;
+  cfg.structures = 2;
+  cfg.shards = 1;
+  cfg.seed = 515;
+  cfg.campaign.days = 0.25;
+  cfg.campaign.step_minutes = 10.0;
+  cfg.campaign.capsule_count = 2;
+  cfg.campaign.capsule_poll_hours = 3.0;
+  cfg.campaign.retry.enabled = true;
+  cfg.checkpoint_dir = dir;
+  return cfg;
+}
+
+CorpusEntry fleet_entry() {
+  CorpusEntry e;
+  e.file = "fleet_shard.ckpt";
+  e.make = [] {
+    const ScratchDir dir;
+    core::ThreadPool pool(1);
+    auto cfg = corpus_fleet(dir.path());
+    cfg.stop_after_structures = 1;
+    EXPECT_FALSE(fleet::FleetEngine(cfg, pool).run().completed);
+    return read_back(dir.file("fleet_shard_0.ckpt"));
+  };
+  e.resume = [](const std::string& bytes) {
+    const ScratchDir dir;
+    core::ThreadPool pool(1);
+    write_file(dir.file("fleet_shard_0.ckpt"), bytes);
+    const fleet::FleetResult r =
+        fleet::FleetEngine(corpus_fleet(dir.path()), pool).resume();
+    EXPECT_EQ(r.structures_resumed, 1u);
+    return r.fingerprint();
+  };
+  e.full = [] {
+    core::ThreadPool pool(1);
+    return fleet::FleetEngine(corpus_fleet(""), pool).run().fingerprint();
+  };
+  return e;
+}
+
+// Streaming daemon: a few polls in, with a fault event still pending.
+reader::StreamingReaderConfig corpus_daemon() {
+  reader::StreamingReaderConfig config;
+  config.stream.system = core::default_system();
+  config.stream.block_size = 256;
+  config.poll_interval_s = 0.05;
+  config.warmup_s = 0.5;
+  config.telemetry.raw_capacity = 16;
+  config.telemetry.minute_capacity = 8;
+  config.telemetry.hour_capacity = 4;
+  reader::StreamFaultEvent event;
+  event.at_s = 0.65;  // after the checkpoint poll
+  event.plan = fault::FaultPlan::at_intensity(0.5);
+  config.fault_events.push_back(event);
+  return config;
+}
+
+CorpusEntry daemon_entry() {
+  CorpusEntry e;
+  e.file = "streaming_reader.ckpt";
+  e.make = [] {
+    reader::StreamingReader crashing(corpus_daemon());
+    crashing.run_polls(2);
+    return crashing.checkpoint();
+  };
+  e.resume = [](const std::string& bytes) {
+    reader::StreamingReader resumed(corpus_daemon());
+    resumed.resume(bytes);
+    resumed.run_polls(4);
+    EXPECT_EQ(resumed.stats().fault_events_applied, 1u);
+    return resumed.checkpoint();
+  };
+  e.full = [] {
+    reader::StreamingReader uninterrupted(corpus_daemon());
+    uninterrupted.run_polls(6);
+    return uninterrupted.checkpoint();
+  };
+  return e;
+}
+
+// Scenario runners: a two-stop mobile route and a short dual-reader run.
+const char* const kCorpusMobile =
+    "scenario corpus-mobile\n"
+    "mode mobile\n"
+    "seed 4401\n"
+    "retry true\n"
+    "pass_seconds 2\n"
+    "event stop structure=s3 nodes=2 spacing_m=0.5 first_m=0.4 "
+    "dwell_minutes=1 tx_voltage=200 snr_at_contact_db=24\n"
+    "event stop structure=s1 nodes=2 spacing_m=0.4 first_m=0.3 "
+    "dwell_minutes=1 tx_voltage=120 snr_at_contact_db=22\n";
+
+const char* const kCorpusMulti =
+    "scenario corpus-multi\n"
+    "mode multi_reader\n"
+    "seed 4402\n"
+    "readers 2\n"
+    "passes 4\n"
+    "capsules 2\n"
+    "reader_separation_m 6\n"
+    "carrier_offset_hz 2000\n"
+    "snr_at_contact_db 24\n";
+
+std::string outcome_digest(const scenario::ScenarioOutcome& o) {
+  dsp::ser::Writer w("corpus-outcome-digest v1");
+  w.str("name", o.name);
+  w.u64("completed", o.completed ? 1 : 0);
+  w.str("grade_path", o.grade_path);
+  w.real_vec("trace", o.trace);
+  for (const auto& [key, value] : o.scalars) w.real(key, value);
+  return w.payload();
+}
+
+CorpusEntry scenario_entry(const std::string& file, const char* text,
+                           std::size_t stop_after) {
+  const auto script = scenario::ScenarioScript::parse(text);
+  CorpusEntry e;
+  e.file = file;
+  e.make = [script, file, stop_after] {
+    const ScratchDir dir;
+    scenario::RunControl control;
+    control.checkpoint_path = dir.file(file);
+    control.stop_after_units = stop_after;
+    EXPECT_FALSE(scenario::ScenarioEngine(script, control).run().completed);
+    return read_back(control.checkpoint_path);
+  };
+  e.resume = [script, file](const std::string& bytes) {
+    const ScratchDir dir;
+    scenario::RunControl control;
+    control.checkpoint_path = write_file(dir.file(file), bytes);
+    return outcome_digest(scenario::ScenarioEngine(script, control).resume());
+  };
+  e.full = [script] {
+    return outcome_digest(scenario::ScenarioEngine(script).run());
+  };
+  return e;
+}
+
+std::vector<CorpusEntry> corpus() {
+  return {campaign_entry(), fleet_entry(), daemon_entry(),
+          scenario_entry("mobile.ckpt", kCorpusMobile, 1),
+          // passes 4: slot 6 lands mid-way through the second scheme, so
+          // the victim reader's session state is in the file.
+          scenario_entry("multi_reader.ckpt", kCorpusMulti, 6)};
+}
+
+const CorpusEntry& corpus_entry(const std::string& file) {
+  static const std::vector<CorpusEntry> entries = corpus();
+  for (const auto& e : entries) {
+    if (e.file == file) return e;
+  }
+  throw std::logic_error("no corpus entry " + file);
+}
+
+/// The committed golden file (regenerated first under --regen).
+std::string golden_bytes(const CorpusEntry& e) {
+  if (golden::g_regen) {
+    EXPECT_TRUE(dsp::ser::atomic_write_file(corpus_path(e.file), e.make()));
+  }
+  const auto bytes = dsp::ser::read_file(corpus_path(e.file));
+  EXPECT_TRUE(bytes.has_value())
+      << "missing " << corpus_path(e.file)
+      << " - run test_checkpoint --regen and commit the result";
+  return bytes.value_or("");
+}
+
+/// Replace the value of the first `key value...` record.
+std::string with_value(std::string bytes, const std::string& key,
+                       const std::string& value) {
+  const std::size_t at = bytes.find("\n" + key + " ");
+  EXPECT_NE(at, std::string::npos) << "no record " << key;
+  if (at == std::string::npos) return bytes;
+  const std::size_t begin = at + key.size() + 2;
+  bytes.replace(begin, bytes.find('\n', begin) - begin, value);
+  return bytes;
+}
+
+const char* const kCorpusFiles[] = {"campaign.ckpt", "fleet_shard.ckpt",
+                                    "streaming_reader.ckpt", "mobile.ckpt",
+                                    "multi_reader.ckpt"};
+
+class GoldenCheckpoint : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GoldenCheckpoint, RegeneratedBytesMatchCommittedFile) {
+  const CorpusEntry& e = corpus_entry(GetParam());
+  const std::string golden = golden_bytes(e);
+  ASSERT_FALSE(golden.empty());
+  // Each Rng record is a full MT19937-64 state (~6.5 KB); the campaign and
+  // the daemon carry six of them, everything else stays small.
+  EXPECT_LT(golden.size(), 48u * 1024u) << "keep corpus files small";
+  EXPECT_TRUE(golden == e.make())
+      << e.file << ": checkpoint bytes drifted from the committed corpus";
+}
+
+TEST_P(GoldenCheckpoint, ResumeFromCommittedFileMatchesUninterruptedRun) {
+  const CorpusEntry& e = corpus_entry(GetParam());
+  const std::string golden = golden_bytes(e);
+  ASSERT_FALSE(golden.empty());
+  EXPECT_TRUE(e.resume(golden) == e.full())
+      << e.file << ": resumed run diverged from the uninterrupted run";
+}
+
+TEST_P(GoldenCheckpoint, TrailingRecordsAreRejected) {
+  const CorpusEntry& e = corpus_entry(GetParam());
+  const std::string golden = golden_bytes(e);
+  ASSERT_FALSE(golden.empty());
+  EXPECT_THROW(e.resume(golden + "extra.record 1\n"), std::runtime_error);
+}
+
+// Every truncation must end in a typed rejection: at each line boundary
+// (a file cut between records) and half-way through each line (a torn
+// record).
+TEST_P(GoldenCheckpoint, EveryTruncationIsRejected) {
+  const CorpusEntry& e = corpus_entry(GetParam());
+  const std::string golden = golden_bytes(e);
+  ASSERT_FALSE(golden.empty());
+  std::size_t cuts = 0;
+  for (std::size_t begin = 0; begin < golden.size();) {
+    const std::size_t nl = golden.find('\n', begin);
+    const std::size_t end = nl == std::string::npos ? golden.size() : nl + 1;
+    for (const std::size_t cut : {begin, begin + (end - begin) / 2}) {
+      EXPECT_THROW(e.resume(golden.substr(0, cut)), std::runtime_error)
+          << e.file << " truncated to " << cut << " bytes was accepted";
+      ++cuts;
+    }
+    begin = end;
+  }
+  EXPECT_GT(cuts, 20u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, GoldenCheckpoint,
+                         ::testing::ValuesIn(kCorpusFiles),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           return name.substr(0, name.find('.'));
+                         });
+
+// --- strict loads ------------------------------------------------------------
+
+TEST(StrictLoad, UnsignedRecordsRejectNegativeValues) {
+  dsp::ser::Writer w("strict v1");
+  w.kv("n", "-1");
+  w.kv("v", "2 3 -1");
+  dsp::ser::Reader r(w.payload(), "strict v1");
+  EXPECT_THROW(r.u64("n"), std::runtime_error);
+  dsp::ser::Reader rv(w.payload(), "strict v1");
+  rv.kv("n");
+  EXPECT_THROW(rv.u64_vec("v"), std::runtime_error);
+}
+
+TEST(StrictLoad, OutOfRangeValuesAreRejectedNotNarrowed) {
+  const std::string golden =
+      golden_bytes(corpus_entry("streaming_reader.ckpt"));
+  const auto& daemon = corpus_entry("streaming_reader.ckpt");
+  // 4294967301 = 2^32 + 5 would narrow to 5 in an int counter.
+  EXPECT_THROW(daemon.resume(with_value(golden, "inj.bursts", "4294967301")),
+               std::runtime_error);
+  EXPECT_THROW(daemon.resume(with_value(golden, "fw.rn16", "65536")),
+               std::runtime_error);
+  EXPECT_THROW(daemon.resume(with_value(golden, "fw.slot", "-4294967295")),
+               std::runtime_error);
+  // Flags are 0 or 1; enums stay inside their declared range.
+  EXPECT_THROW(daemon.resume(with_value(golden, "hv.powered", "2")),
+               std::runtime_error);
+  EXPECT_THROW(daemon.resume(with_value(golden, "fw.state", "9")),
+               std::runtime_error);
+}
+
+TEST(StrictLoad, CorruptCountsAreRejectedBeforeAllocating) {
+  const std::string huge = "1000000000000";
+  const auto& campaign = corpus_entry("campaign.ckpt");
+  const std::string c = golden_bytes(campaign);
+  EXPECT_THROW(campaign.resume(with_value(c, "result.minute_reports", huge)),
+               std::runtime_error);
+  EXPECT_THROW(
+      campaign.resume(with_value(c, "series.stress", huge + " 0x1p+0")),
+      std::runtime_error);
+  const auto& mobile = corpus_entry("mobile.ckpt");
+  const std::string m = golden_bytes(mobile);
+  EXPECT_THROW(mobile.resume(with_value(m, "mobile.log", huge)),
+               std::runtime_error);
+}
+
 }  // namespace
 }  // namespace ecocap
+
+int main(int argc, char** argv) {
+  return ecocap::golden::golden_test_main(argc, argv);
+}

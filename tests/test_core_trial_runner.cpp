@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -43,6 +45,34 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(257);
   pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, InvalidThreadsEnvIsNotedOnStderr) {
+  const char* prior = std::getenv("ECOCAP_THREADS");
+  const std::string saved = prior != nullptr ? prior : "";
+  ASSERT_EQ(unsetenv("ECOCAP_THREADS"), 0);
+  const unsigned fallback = ThreadPool::default_worker_count();
+  for (const char* bad : {"0", "-2", "abc", "4x"}) {
+    ASSERT_EQ(setenv("ECOCAP_THREADS", bad, 1), 0);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(ThreadPool::default_worker_count(), fallback);
+    const std::string note = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(note.find("ECOCAP_THREADS=\"" + std::string(bad) + "\""),
+              std::string::npos)
+        << note;
+    EXPECT_NE(note.find(std::to_string(fallback) + " hardware threads"),
+              std::string::npos)
+        << note;
+  }
+  ASSERT_EQ(setenv("ECOCAP_THREADS", "3", 1), 0);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(ThreadPool::default_worker_count(), 3u);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  if (prior != nullptr) {
+    ASSERT_EQ(setenv("ECOCAP_THREADS", saved.c_str(), 1), 0);
+  } else {
+    ASSERT_EQ(unsetenv("ECOCAP_THREADS"), 0);
+  }
 }
 
 TEST(ThreadPool, SingleWorkerRunsInline) {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -262,6 +263,28 @@ TEST(FastConvolve, MinTapsEnvOverridesDispatch) {
   // Cost model: big jobs go FFT, tiny kernels stay direct.
   EXPECT_TRUE(use_fft_convolution(1 << 15, 129));
   EXPECT_FALSE(use_fft_convolution(1 << 15, 3));
+}
+
+TEST(FastConvolve, InvalidMinTapsEnvIsNotedOnStderr) {
+  for (const char* bad : {"abc", "-3", "12x"}) {
+    ASSERT_EQ(setenv("ECOCAP_FFT_CONV_MIN_TAPS", bad, 1), 0);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(fft_conv_min_taps_override(), -1);
+    EXPECT_FALSE(use_fft_convolution(1 << 15, 3));  // the cost model rules
+    const std::string note = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(note.find("ECOCAP_FFT_CONV_MIN_TAPS=\"" + std::string(bad)),
+              std::string::npos)
+        << note;
+    EXPECT_NE(note.find("cost model"), std::string::npos) << note;
+    // One note per distinct value, not one per convolution.
+    EXPECT_EQ(note.find("ECOCAP", note.find("ECOCAP") + 1), std::string::npos)
+        << note;
+  }
+  ASSERT_EQ(setenv("ECOCAP_FFT_CONV_MIN_TAPS", "64", 1), 0);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(fft_conv_min_taps_override(), 64);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  ASSERT_EQ(unsetenv("ECOCAP_FFT_CONV_MIN_TAPS"), 0);
 }
 
 TEST(FilterCache, SameKeyReturnsSameEntry) {

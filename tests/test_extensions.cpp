@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "channel/scatterers.hpp"
 #include "core/ber_harness.hpp"
@@ -83,18 +84,21 @@ TEST(Miller, SurvivesNoiseBetterThanRawThreshold) {
   EXPECT_LT(phy::hamming_distance(tx, rx), 12u);
 }
 
-/// Property: round trip across M values and bitrates.
+/// Property: round trip across M values and bitrates. The case has no
+/// padding bytes: gtest names each case by dumping its bytes, so padding
+/// would put stack garbage into the test names.
 struct MillerCase {
-  int m;
+  std::int64_t m;
   double spb;
 };
+static_assert(sizeof(MillerCase) == sizeof(std::int64_t) + sizeof(double));
 class MillerSweep : public ::testing::TestWithParam<MillerCase> {};
 
 TEST_P(MillerSweep, RoundTrips) {
   dsp::Rng rng(6);
   phy::MillerParams p;
   p.bitrate = 1.0;
-  p.m = GetParam().m;
+  p.m = static_cast<int>(GetParam().m);
   const Real fs = GetParam().spb;
   const phy::Bits tx = phy::random_bits(64, rng);
   const dsp::Signal x = phy::miller_encode(tx, p, fs);
