@@ -45,7 +45,21 @@ ConcreteChannel::ConcreteChannel(std::shared_ptr<const Structure> structure,
   }
   resonator_ = dsp::FilterCache::shared().bandpass_resonator(
       config_->fs, config_->concrete_resonance, config_->concrete_q);
+  path_gain_ =
+      std::exp(-structure_->effective_attenuation * config_->distance) *
+      scatterer_gain(config_->carrier_for_scatterers);
   mode_taps_ = compute_mode_taps();
+  const Real base_delay =
+      config_->preserve_absolute_delay || mode_taps_.empty()
+          ? 0.0
+          : mode_taps_.front().delay;
+  for (const auto& t : mode_taps_) {
+    const auto shift = static_cast<std::size_t>(
+        std::llround((t.delay - base_delay) * config_->fs));
+    tap_shifts_.push_back(shift);
+    tap_amps_.push_back(t.amplitude);
+    max_tap_shift_ = std::max(max_tap_shift_, shift);
+  }
 }
 
 Real ConcreteChannel::scatterer_gain(Real frequency) const {
@@ -55,11 +69,6 @@ Real ConcreteChannel::scatterer_gain(Real frequency) const {
   const wave::Point2 reader{0.0, structure_->thickness / 2.0};
   const wave::Point2 node{config_->distance, structure_->thickness / 2.0};
   return scatterer_field_->path_gain(reader, node, frequency);
-}
-
-Real ConcreteChannel::path_gain() const {
-  return std::exp(-structure_->effective_attenuation * config_->distance) *
-         scatterer_gain(config_->carrier_for_scatterers);
 }
 
 std::vector<wave::Tap> ConcreteChannel::compute_mode_taps() const {
@@ -118,70 +127,61 @@ std::vector<wave::Tap> ConcreteChannel::compute_mode_taps() const {
   return taps;
 }
 
-void ConcreteChannel::apply_taps(std::span<const Real> x,
-                                 const std::vector<wave::Tap>& taps,
-                                 Signal& out) const {
-  out.assign(x.size(), 0.0);
-  if (taps.empty()) return;
-  const Real base_delay =
-      config_->preserve_absolute_delay ? 0.0 : taps.front().delay;
-  for (const auto& t : taps) {
-    const auto shift = static_cast<std::size_t>(
-        std::llround((t.delay - base_delay) * config_->fs));
-    for (std::size_t i = shift; i < out.size(); ++i) {
-      out[i] += t.amplitude * x[i - shift];
+void ConcreteChannel::run_downlink(std::uint64_t pos, const Real* src,
+                                   dsp::Biquad& resonator, dsp::Rng& rng,
+                                   Signal& out) const {
+  // Tap sum: out[i] = sum over taps k, in tap order, of amp_k *
+  // src[i - shift_k]. Tap k starts at absolute index shift_k: samples from
+  // before the stream began are skipped, not added as zeros, which keeps
+  // the sign of zero. Tap-outer order makes, per output index, the same
+  // additions in the same order as a per-sample loop.
+  const std::size_t n = out.size();
+  std::fill(out.begin(), out.end(), 0.0);
+  for (std::size_t k = 0; k < tap_shifts_.size(); ++k) {
+    const std::size_t shift = tap_shifts_[k];
+    const auto first = static_cast<std::size_t>(
+        std::min<std::uint64_t>(shift > pos ? shift - pos : 0, n));
+    for (std::size_t i = first; i < n; ++i) {
+      out[i] += tap_amps_[k] * src[static_cast<std::ptrdiff_t>(i - shift)];
     }
   }
+  // Resonance: direct form I reads each input before writing its slot, so
+  // filtering in place on the carried biquad is exact.
+  resonator.process(std::span<const Real>(out), out);
+  if (resonator_->peak_gain > 0.0) {
+    dsp::scale(out, 1.0 / resonator_->peak_gain);
+  }
+  dsp::add_awgn(out, config_->noise_sigma, rng);
 }
 
-void ConcreteChannel::apply_resonance_inplace(Signal& x) const {
-  dsp::Biquad bp = resonator_->prototype;  // zero-state copy
-  const Real g0 = resonator_->peak_gain;
-  // Direct-form-I reads the input sample before writing the output slot, so
-  // filtering in place is sample-for-sample identical to a fresh buffer.
-  bp.process(std::span<const Real>(x), x);
-  if (g0 > 0.0) dsp::scale(x, 1.0 / g0);
+void ConcreteChannel::run_uplink_propagate(dsp::Biquad& resonator,
+                                           Signal& x) const {
+  // The uplink path carries only the S-reflections back (the node radiates
+  // from inside the bulk; the prism mode split does not apply).
+  dsp::scale(x, path_gain_);
+  resonator.process(std::span<const Real>(x), x);
+  if (resonator_->peak_gain > 0.0) dsp::scale(x, 1.0 / resonator_->peak_gain);
+}
+
+void ConcreteChannel::run_uplink_si_noise(dsp::Oscillator& si,
+                                          Real si_amplitude, dsp::Rng& rng,
+                                          Signal& x) const {
+  for (Real& v : x) v += si.next(si_amplitude);
+  dsp::add_awgn(x, config_->noise_sigma, rng);
+}
+
+dsp::Oscillator ConcreteChannel::si_oscillator(Real carrier_frequency,
+                                               dsp::Rng& rng) const {
+  dsp::Oscillator si(config_->fs, carrier_frequency);
+  si.reset_phase(rng.uniform(0.0, 2.0 * dsp::kPi));
+  return si;
 }
 
 void ConcreteChannel::downlink(std::span<const Real> tx_acoustic,
                                dsp::Rng& rng, Signal& out) const {
-  apply_taps(tx_acoustic, mode_taps(), out);
-  apply_resonance_inplace(out);
-  dsp::add_awgn(out, config_->noise_sigma, rng);
-}
-
-void ConcreteChannel::propagate_uplink(std::span<const Real> node_emission,
-                                       Signal& out) const {
-  // The uplink path carries only the S-reflections back (the node radiates
-  // from inside the bulk; the prism mode split does not apply).
-  const Real gain = path_gain();
-  if (config_->preserve_absolute_delay) {
-    const Real cs = structure_->material.cs > 0.0 ? structure_->material.cs
-                                                  : structure_->material.cp;
-    const auto shift = static_cast<std::size_t>(
-        std::llround(config_->distance / cs * config_->fs));
-    out.assign(node_emission.size() + shift, 0.0);
-    for (std::size_t i = 0; i < node_emission.size(); ++i) {
-      out[i + shift] = node_emission[i];
-    }
-  } else {
-    out.assign(node_emission.begin(), node_emission.end());
-  }
-  dsp::scale(out, gain);
-  apply_resonance_inplace(out);
-}
-
-void ConcreteChannel::add_uplink_si_noise(Signal& out, Real carrier_frequency,
-                                          Real si_amplitude,
-                                          dsp::Rng& rng) const {
-  dsp::Oscillator cw(config_->fs, carrier_frequency);
-  // A random starting phase decorrelates SI from the carrier snapshot the
-  // node reflected.
-  cw.reset_phase(rng.uniform(0.0, 2.0 * dsp::kPi));
-  for (Real& v : out) {
-    v += cw.next(si_amplitude);
-  }
-  dsp::add_awgn(out, config_->noise_sigma, rng);
+  out.resize(tx_acoustic.size());
+  dsp::Biquad resonator = resonator_->prototype;  // zero state
+  run_downlink(0, tx_acoustic.data(), resonator, rng, out);
 }
 
 Real ConcreteChannel::uplink_si_amplitude(Real propagated_rms) const {
@@ -191,76 +191,45 @@ Real ConcreteChannel::uplink_si_amplitude(Real propagated_rms) const {
 void ConcreteChannel::uplink(std::span<const Real> node_emission,
                              Real carrier_frequency, dsp::Rng& rng,
                              Signal& out) const {
-  propagate_uplink(node_emission, out);
+  std::size_t delay = 0;
+  if (config_->preserve_absolute_delay) {
+    const Real cs = structure_->material.cs > 0.0 ? structure_->material.cs
+                                                  : structure_->material.cp;
+    delay = static_cast<std::size_t>(
+        std::llround(config_->distance / cs * config_->fs));
+  }
+  out.resize(delay + node_emission.size());
+  std::fill_n(out.begin(), delay, 0.0);
+  std::copy(node_emission.begin(), node_emission.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(delay));
+  dsp::Biquad resonator = resonator_->prototype;  // zero state
+  run_uplink_propagate(resonator, out);
   // Self-interference: the CBW leaks into the receiving PZT at an amplitude
   // config_->self_interference_gain times the *backscatter* amplitude (§3.4:
   // "10x stronger than the backscattered signals").
-  add_uplink_si_noise(out, carrier_frequency, uplink_si_amplitude(dsp::rms(out)),
-                      rng);
-}
-
-void ConcreteChannel::uplink(std::span<const Real> node_emission,
-                             Real carrier_frequency, Real si_amplitude,
-                             dsp::Rng& rng, Signal& out) const {
-  propagate_uplink(node_emission, out);
-  add_uplink_si_noise(out, carrier_frequency, si_amplitude, rng);
+  dsp::Oscillator si = si_oscillator(carrier_frequency, rng);
+  run_uplink_si_noise(si, uplink_si_amplitude(dsp::rms(out)), rng, out);
 }
 
 ConcreteChannel::DownlinkStream::DownlinkStream(const ConcreteChannel& channel,
                                                 std::uint64_t noise_seed)
     : channel_(&channel),
+      hist_(channel.max_tap_shift_, 0.0),
       resonator_(channel.resonator_->prototype),  // zero-state copy
-      rng_(noise_seed) {
-  const Real base_delay = channel.config().preserve_absolute_delay
-                              ? 0.0
-                              : channel.mode_taps().empty()
-                                    ? 0.0
-                                    : channel.mode_taps().front().delay;
-  for (const auto& t : channel.mode_taps()) {
-    const auto shift = static_cast<std::size_t>(
-        std::llround((t.delay - base_delay) * channel.config().fs));
-    shifts_.push_back(shift);
-    amps_.push_back(t.amplitude);
-    max_shift_ = std::max(max_shift_, shift);
-  }
-  hist_.assign(max_shift_, 0.0);
-  const Real g0 = channel.resonator_->peak_gain;
-  if (g0 > 0.0) {
-    resonance_scale_ = 1.0 / g0;
-    has_resonance_scale_ = true;
-  }
-}
+      rng_(noise_seed) {}
 
 void ConcreteChannel::DownlinkStream::push_block(Signal& x) {
   const std::size_t n = x.size();
   if (n == 0) return;
-  // Tap convolution over the carried delay line. Per output index the adds
-  // happen in tap order onto a zero accumulator — the exact addition
-  // sequence apply_taps performs tap-outer, so the result is bit-identical
-  // at any block split.
-  ext_.resize(max_shift_ + n);
+  // The tap delay line runs over hist_ ++ x, so the kernel reads inputs
+  // from before this block exactly as a single push would have.
+  const auto h = static_cast<std::ptrdiff_t>(hist_.size());
+  ext_.resize(hist_.size() + n);
   std::copy(hist_.begin(), hist_.end(), ext_.begin());
-  std::copy(x.begin(), x.end(), ext_.begin() + static_cast<std::ptrdiff_t>(max_shift_));
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t abs_i = pos_ + i;
-    Real acc = 0.0;
-    for (std::size_t k = 0; k < shifts_.size(); ++k) {
-      if (shifts_[k] > abs_i) continue;  // batch starts tap k at i == shift
-      acc += amps_[k] * ext_[max_shift_ + i - shifts_[k]];
-    }
-    x[i] = acc;
-  }
-  if (max_shift_ > 0) {
-    std::copy(ext_.end() - static_cast<std::ptrdiff_t>(max_shift_), ext_.end(),
-              hist_.begin());
-  }
+  std::copy(x.begin(), x.end(), ext_.begin() + h);
+  channel_->run_downlink(pos_, ext_.data() + h, resonator_, rng_, x);
+  std::copy(ext_.end() - h, ext_.end(), hist_.begin());
   pos_ += n;
-  // Resonance: the same kernel invocation apply_resonance_inplace makes,
-  // but on the carried biquad — direct form I state load/store makes block
-  // splits invisible.
-  resonator_.process(std::span<const Real>(x), x);
-  if (has_resonance_scale_) dsp::scale(x, resonance_scale_);
-  dsp::add_awgn(x, channel_->config().noise_sigma, rng_);
 }
 
 ConcreteChannel::UplinkStream::UplinkStream(const ConcreteChannel& channel,
@@ -268,33 +237,21 @@ ConcreteChannel::UplinkStream::UplinkStream(const ConcreteChannel& channel,
                                             Real si_amplitude,
                                             std::uint64_t noise_seed)
     : channel_(&channel),
-      gain_(channel.path_gain()),
       resonator_(channel.resonator_->prototype),  // zero-state copy
-      si_(channel.config().fs, carrier_frequency),
-      si_amplitude_(si_amplitude),
-      rng_(noise_seed) {
+      rng_(noise_seed),
+      si_(channel.si_oscillator(carrier_frequency, rng_)),
+      si_amplitude_(si_amplitude) {
   if (channel.config().preserve_absolute_delay) {
     throw std::invalid_argument(
         "UplinkStream: preserve_absolute_delay is a batch-only feature — a "
         "live stream schedules the emission later instead of padding it");
   }
-  const Real g0 = channel.resonator_->peak_gain;
-  if (g0 > 0.0) {
-    resonance_scale_ = 1.0 / g0;
-    has_resonance_scale_ = true;
-  }
-  // Matches the batch draw order: the SI phase is the first draw from the
-  // uplink's RNG, before any noise gaussians.
-  si_.reset_phase(rng_.uniform(0.0, 2.0 * dsp::kPi));
 }
 
 void ConcreteChannel::UplinkStream::push_block(Signal& x) {
   if (x.empty()) return;
-  dsp::scale(x, gain_);
-  resonator_.process(std::span<const Real>(x), x);
-  if (has_resonance_scale_) dsp::scale(x, resonance_scale_);
-  for (Real& v : x) v += si_.next(si_amplitude_);
-  dsp::add_awgn(x, channel_->config().noise_sigma, rng_);
+  channel_->run_uplink_propagate(resonator_, x);
+  channel_->run_uplink_si_noise(si_, si_amplitude_, rng_, x);
 }
 
 template <class Self, class Ar>
@@ -311,7 +268,7 @@ void ConcreteChannel::DownlinkStream::save(dsp::ser::Writer& w) const {
 
 void ConcreteChannel::DownlinkStream::load(dsp::ser::Reader& r) {
   io(*this, r);
-  if (hist_.size() != max_shift_) {
+  if (hist_.size() != channel_->max_tap_shift_) {
     throw std::runtime_error(
         "checkpoint: downlink tap delay line length mismatch");
   }

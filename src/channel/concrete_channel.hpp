@@ -74,38 +74,31 @@ class ConcreteChannel {
   ///  * the concrete/PZT band resonance ("FSK in, OOK out" physics),
   ///  * distance attenuation per the structure's range law,
   ///  * additive Gaussian acoustic noise.
-  /// `out` must not alias `tx_acoustic`.
+  /// A one-shot run of the DownlinkStream recurrence from zero state,
+  /// drawing the noise from `rng`. `out` must not alias `tx_acoustic`.
   void downlink(std::span<const Real> tx_acoustic, dsp::Rng& rng,
                 Signal& out) const;
 
   /// Propagate the node's backscatter emission to the reader RX into a
   /// caller-provided buffer, adding the CBW self-interference at an
   /// amplitude derived from the propagated backscatter RMS (§3.4's "10x
-  /// stronger"). `out` must not alias `node_emission`.
+  /// stronger"). A one-shot run of the UplinkStream's two halves from zero
+  /// state with `rng`: propagate, measure the RMS, then SI + noise. With
+  /// `preserve_absolute_delay` the one-way travel time is prepended as
+  /// silence. `out` must not alias `node_emission`.
   /// @param carrier_frequency frequency of the CBW for SI synthesis
   void uplink(std::span<const Real> node_emission, Real carrier_frequency,
               dsp::Rng& rng, Signal& out) const;
 
-  /// Uplink with an explicitly chosen self-interference amplitude instead
-  /// of the RMS-derived one. This is the form the streaming pipeline uses:
-  /// a live reader knows its own CBW drive level up front, whereas the RMS
-  /// derivation needs the whole emission in hand. Passing
-  /// `self_interference_gain * rms(propagated emission) * sqrt(2)` (see
-  /// `uplink_si_amplitude`) reproduces the RMS-derived overload exactly.
-  void uplink(std::span<const Real> node_emission, Real carrier_frequency,
-              Real si_amplitude, dsp::Rng& rng, Signal& out) const;
-
-  /// The SI amplitude the RMS-derived uplink would use for an emission
-  /// whose *propagated* (post path-gain, post resonance) waveform has the
-  /// given RMS.
+  /// The SI amplitude the uplink uses for an emission whose *propagated*
+  /// (post path-gain, post resonance) waveform has the given RMS.
   Real uplink_si_amplitude(Real propagated_rms) const;
 
-  /// Streaming downlink: the same tap convolution → resonator → AWGN chain
-  /// as the batch `downlink`, restaged as a block processor with explicit
-  /// carried state (tap delay line, biquad state, noise RNG). Feeding a
-  /// waveform through `push_block` in pieces of any size produces exactly
-  /// the bytes the batch call produces on the concatenation, because every
-  /// element is a per-sample recurrence over carried state.
+  /// Streaming downlink: the downlink leg as a block processor with
+  /// explicit carried state (tap delay line, biquad state, noise RNG).
+  /// Feeding a waveform through `push_block` in pieces of any size produces
+  /// exactly the bytes one push of the whole waveform produces — and the
+  /// batch `downlink` is that single push from zero state.
   class DownlinkStream {
    public:
     /// @param channel must outlive the stream
@@ -121,32 +114,26 @@ class ConcreteChannel {
     std::uint64_t position() const { return pos_; }
 
     /// Bit-exact carried-state round trip (tap delay line, biquad state,
-    /// noise RNG, position); the tap geometry is config, recomputed at
-    /// construction.
+    /// noise RNG, position); the tap geometry is the channel's.
     void save(dsp::ser::Writer& w) const;
     void load(dsp::ser::Reader& r);
 
    private:
     template <class Self, class Ar> static void io(Self& self, Ar& ar);
     const ConcreteChannel* channel_;
-    std::vector<std::size_t> shifts_;  // per-tap delays, samples
-    std::vector<Real> amps_;           // per-tap amplitudes (taps order)
-    std::size_t max_shift_ = 0;
-    Signal hist_;  // last max_shift_ raw inputs (the tap delay line)
+    Signal hist_;  // last max-shift raw inputs (the tap delay line)
     Signal ext_;   // scratch: hist_ ++ current block
     dsp::Biquad resonator_;
-    Real resonance_scale_ = 1.0;
-    bool has_resonance_scale_ = false;
     dsp::Rng rng_;
     std::uint64_t pos_ = 0;
   };
 
-  /// Streaming uplink with an explicit SI amplitude (see the explicit-SI
-  /// batch overload above for why streaming fixes the amplitude up front).
-  /// Carried state: biquad, SI oscillator phase, noise RNG. Not available
-  /// when `preserve_absolute_delay` is set (the shift-padding prepends
-  /// silence, which a live stream models as scheduling, not padding) —
-  /// the constructor throws.
+  /// Streaming uplink with an SI amplitude fixed up front: a live reader
+  /// knows its own CBW drive level, whereas the batch RMS derivation needs
+  /// the whole emission in hand. Carried state: biquad, SI oscillator
+  /// phase, noise RNG. Not available when `preserve_absolute_delay` is set
+  /// (the batch padding prepends silence, which a live stream models as
+  /// scheduling, not padding) — the constructor throws.
   class UplinkStream {
    public:
     UplinkStream(const ConcreteChannel& channel, Real carrier_frequency,
@@ -164,19 +151,16 @@ class ConcreteChannel {
    private:
     template <class Self, class Ar> static void io(Self& self, Ar& ar);
     const ConcreteChannel* channel_;
-    Real gain_;
     dsp::Biquad resonator_;
-    Real resonance_scale_ = 1.0;
-    bool has_resonance_scale_ = false;
+    dsp::Rng rng_;
     dsp::Oscillator si_;
     Real si_amplitude_;
-    dsp::Rng rng_;
   };
 
   /// Amplitude scale of the direct path at the configured distance (the
   /// same quantity the link budget computes, normalized to TX amplitude 1),
   /// including any scatterer-field fading at the configured carrier.
-  Real path_gain() const;
+  Real path_gain() const { return path_gain_; }
 
   /// Scatterer fading factor alone at frequency f (1.0 when no scatterers
   /// are configured). Exposed so a reader can implement the §3.5 carrier
@@ -192,25 +176,42 @@ class ConcreteChannel {
   const ChannelConfig& config() const { return *config_; }
 
  private:
-  void apply_taps(std::span<const Real> x, const std::vector<wave::Tap>& taps,
-                  Signal& out) const;
-  void apply_resonance_inplace(Signal& x) const;
-  /// Shift/copy + path gain + resonance; the deterministic half of uplink.
-  void propagate_uplink(std::span<const Real> node_emission,
-                        Signal& out) const;
-  /// The stochastic half: SI carrier at the given amplitude, then AWGN.
-  void add_uplink_si_noise(Signal& out, Real carrier_frequency,
-                           Real si_amplitude, dsp::Rng& rng) const;
+  // The legs' one implementation. Each runs over explicit carried state —
+  // a stream passes its own, the batch calls pass zero state and the
+  // caller's Rng — and each is a per-sample recurrence, so block splits
+  // are invisible.
+
+  /// Downlink: tap sum -> band resonance -> AWGN into `out` (sized to the
+  /// block). `src` is the input sample aligned with out[0], which sits at
+  /// absolute stream index `pos`; the max_tap_shift_ samples before `src`
+  /// must be readable whenever pos > 0.
+  void run_downlink(std::uint64_t pos, const Real* src,
+                    dsp::Biquad& resonator, dsp::Rng& rng, Signal& out) const;
+  /// Uplink, first half: path gain -> band resonance, in place.
+  void run_uplink_propagate(dsp::Biquad& resonator, Signal& x) const;
+  /// Uplink, second half: the CBW self-interference, then AWGN, in place.
+  void run_uplink_si_noise(dsp::Oscillator& si, Real si_amplitude,
+                           dsp::Rng& rng, Signal& x) const;
+  /// The SI carrier at a random starting phase (the uplink RNG's first
+  /// draw), which decorrelates SI from the carrier snapshot the node
+  /// reflected.
+  dsp::Oscillator si_oscillator(Real carrier_frequency, dsp::Rng& rng) const;
   std::vector<wave::Tap> compute_mode_taps() const;
 
   std::shared_ptr<const Structure> structure_;
   std::shared_ptr<const ChannelConfig> config_;
   wave::WavePrism prism_;
   std::optional<ScattererField> scatterer_field_;
-  /// Designed once via the process-wide FilterCache; apply_resonance copies
-  /// the zero-state prototype per call instead of redesigning the biquad.
+  /// Designed once via the process-wide FilterCache; streams and batch
+  /// calls copy the zero-state prototype instead of redesigning the biquad.
   std::shared_ptr<const dsp::FilterCache::ResonatorDesign> resonator_;
+  Real path_gain_ = 0.0;
   std::vector<wave::Tap> mode_taps_;
+  /// mode_taps_ as per-tap sample shifts (from the first arrival unless
+  /// preserve_absolute_delay) and amplitudes, in tap order.
+  std::vector<std::size_t> tap_shifts_;
+  std::vector<Real> tap_amps_;
+  std::size_t max_tap_shift_ = 0;
 };
 
 }  // namespace ecocap::channel

@@ -13,6 +13,10 @@ namespace {
 constexpr Real kReferenceActivation = 0.5;  // V
 }  // namespace
 
+Real node_volts_scale(const Structure& structure, Real tx_voltage) {
+  return tx_voltage / structure.coupling_voltage * kReferenceActivation;
+}
+
 LinkBudget::LinkBudget(Structure structure, Real activation_voltage,
                        Real hra_gain)
     : structure_(std::move(structure)),
@@ -30,7 +34,7 @@ Real LinkBudget::node_voltage(Real tx_voltage, Real distance) const {
   // At d = 0 a reader driving coupling_voltage volts delivers exactly the
   // reference activation voltage; everything scales linearly in V and
   // decays exponentially in distance.
-  const Real v0 = kReferenceActivation * tx_voltage / structure_.coupling_voltage;
+  const Real v0 = node_volts_scale(structure_, tx_voltage);
   return hra_gain_ * v0 *
          std::exp(-structure_.effective_attenuation * distance);
 }

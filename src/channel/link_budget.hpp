@@ -6,6 +6,13 @@
 
 namespace ecocap::channel {
 
+/// Node-PZT volts per unit of normalized reader amplitude at contact, for a
+/// reader driving `tx_voltage` volts into `structure`: the range-law
+/// calibration under which driving `coupling_voltage` delivers the 0.5 V
+/// reference activation. The waveform downlinks scale the channel output by
+/// it.
+Real node_volts_scale(const Structure& structure, Real tx_voltage);
+
 /// Wireless-charging link budget (paper §3.2, §5.2). The reader injects a
 /// continuous body wave at `tx_voltage`; the acoustic amplitude reaching a
 /// node at distance d follows the structure's exponential range law. The

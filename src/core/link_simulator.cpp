@@ -66,8 +66,8 @@ LinkSimulator::LinkSimulator(SystemSnapshot snapshot, std::uint64_t seed)
 void LinkSimulator::faulted_downlink(const dsp::Signal& tx,
                                      dsp::Signal& at_node) {
   channel_.downlink(tx, rng_, at_node);
-  dsp::scale(at_node, config_->transmitter.tx_voltage /
-                          config_->structure.coupling_voltage * 0.5);
+  dsp::scale(at_node, channel::node_volts_scale(
+                          config_->structure, config_->transmitter.tx_voltage));
   injector_.corrupt_waveform(at_node, config_->channel.fs);
 }
 
@@ -150,11 +150,9 @@ InterrogationResult LinkSimulator::interrogate(
       perturbed.blf *= drift;
       frame = &perturbed;
     }
-    const Real frame_time =
-        (static_cast<Real>(frame->payload.size()) +
-         static_cast<Real>(phy::fm0_preamble(config_->capsule.firmware.uplink)
-                               .size()) + 4.0) /
-        frame->bitrate;
+    const Real frame_time = phy::fm0_frame_seconds(
+        frame->payload.size(), config_->capsule.firmware.uplink,
+        frame->bitrate);
     transmitter_.continuous_wave(frame_time, *tx);
     faulted_downlink(*tx, *at_node);
     capsule_.backscatter(*frame, *at_node, ws, *emission);
@@ -225,11 +223,8 @@ InterrogationResult LinkSimulator::uplink_once(const phy::Bits& payload) {
     frame.blf *= drift;
   }
 
-  const Real frame_time =
-      (static_cast<Real>(payload.size()) +
-       static_cast<Real>(
-           phy::fm0_preamble(config_->capsule.firmware.uplink).size()) + 4.0) /
-      frame.bitrate;
+  const Real frame_time = phy::fm0_frame_seconds(
+      payload.size(), config_->capsule.firmware.uplink, frame.bitrate);
   auto cw = ws.real(0);
   auto carrier_at_node = ws.real(0);
   auto emission = ws.real(0);
@@ -298,16 +293,14 @@ LinkSimulator::RangeEstimate LinkSimulator::estimate_node_distance() {
 
   dsp::Workspace& ws = WorkspacePool::shared().local();
   const Real fs = config_->channel.fs;
-  const Real volts_scale = config_->transmitter.tx_voltage /
-                           config_->structure.coupling_voltage * 0.5;
+  const Real volts_scale = channel::node_volts_scale(
+      config_->structure, config_->transmitter.tx_voltage);
   phy::Fm0Params line = config_->capsule.firmware.uplink;
   dsp::Rng payload_rng(seed_ ^ 0x5157);
   const phy::Bits payload = phy::random_bits(16, payload_rng);
 
   const Real frame_time =
-      (static_cast<Real>(payload.size() + phy::fm0_preamble(line).size()) +
-       4.0) /
-      line.bitrate;
+      phy::fm0_frame_seconds(payload.size(), line, line.bitrate);
   // Extra room for the round trip.
   const Real margin = 2.0 * config_->structure.length /
                       std::max(config_->structure.material.cs, 500.0);

@@ -40,8 +40,8 @@ MultiNodeLink::broadcast(const phy::Command& cmd) {
   dsp::Workspace& ws = WorkspacePool::shared().local();
   auto tx = ws.real(0);
   transmitter_.transmit_command(cmd, ws, *tx);
-  const Real volts_scale = config_.transmitter.tx_voltage /
-                           config_.structure.coupling_voltage * 0.5;
+  const Real volts_scale = channel::node_volts_scale(
+      config_.structure, config_.transmitter.tx_voltage);
   std::vector<std::vector<node::UplinkFrame>> frames(nodes_.size());
   ThreadPool::shared().parallel_for(nodes_.size(), [&](std::size_t i) {
     Deployed& n = nodes_[i];
@@ -70,18 +70,15 @@ reader::UplinkDecode MultiNodeLink::receive_slot(
   reader::UplinkDecode none;
   if (responders.empty()) return none;
 
-  const Real volts_scale = config_.transmitter.tx_voltage /
-                           config_.structure.coupling_voltage * 0.5;
+  const Real volts_scale = channel::node_volts_scale(
+      config_.structure, config_.transmitter.tx_voltage);
   // The slot's CBW must cover the longest frame.
   Real frame_time = 0.0;
   for (const auto& [n, frame] : responders) {
-    const Real t =
-        (static_cast<Real>(frame.payload.size()) +
-         static_cast<Real>(
-             phy::fm0_preamble(config_.capsule.firmware.uplink).size()) +
-         4.0) /
-        frame.bitrate;
-    frame_time = std::max(frame_time, t);
+    frame_time = std::max(
+        frame_time,
+        phy::fm0_frame_seconds(frame.payload.size(),
+                               config_.capsule.firmware.uplink, frame.bitrate));
   }
   dsp::Workspace& ws = WorkspacePool::shared().local();
   auto cw = ws.real(0);
@@ -135,8 +132,8 @@ MultiNodeLink::Result MultiNodeLink::run_inventory() {
   // 1. Charge everyone with CBW until powered (or clearly unreachable).
   // The charge blocks are one broadcast stream (generated once, stateful
   // PZT and all); each node consumes them independently on the pool.
-  const Real volts_scale = config_.transmitter.tx_voltage /
-                           config_.structure.coupling_voltage * 0.5;
+  const Real volts_scale = channel::node_volts_scale(
+      config_.structure, config_.transmitter.tx_voltage);
   std::vector<dsp::Signal> charge_blocks;
   charge_blocks.reserve(25);
   for (int i = 0; i < 25; ++i) {

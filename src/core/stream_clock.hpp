@@ -44,40 +44,6 @@ class StreamClock {
   std::uint64_t blocks() const { return blocks_; }
   std::uint64_t samples() const { return samples_; }
 
-  /// Arm the deadline monitor: the stream is considered "on deadline" while
-  /// `wall_seconds() <= sim_seconds() * factor + grace_s`. A factor of 1 is
-  /// the live-ADC contract (the pipeline keeps up with real time); larger
-  /// factors tolerate slower-than-real-time hosts. Factor <= 0 disarms.
-  ///
-  /// Deadline accounting is *wall-clock* health telemetry for the runtime
-  /// watchdog — inherently nondeterministic, so it must never feed a
-  /// checkpoint or any decoded-value path.
-  void arm_deadline(dsp::Real factor, dsp::Real grace_s = 0.0) {
-    deadline_factor_ = factor;
-    deadline_grace_s_ = grace_s;
-  }
-
-  /// Check the armed deadline at a block/poll boundary. Returns true (and
-  /// counts a miss) when the stream has fallen behind its wall budget.
-  bool check_deadline() {
-    if (deadline_factor_ <= 0.0) return false;
-    const bool missed =
-        wall_seconds() > sim_seconds() * deadline_factor_ + deadline_grace_s_;
-    if (missed) ++deadline_misses_;
-    return missed;
-  }
-
-  /// Cumulative misses since construction / the last restart.
-  std::uint64_t deadline_misses() const { return deadline_misses_; }
-
-  /// How far wall time is ahead of the sim-time budget, seconds (<= 0 when
-  /// on deadline). Health telemetry for the degradation ladder.
-  dsp::Real behind_seconds() const {
-    if (deadline_factor_ <= 0.0) return 0.0;
-    return wall_seconds() -
-           (sim_seconds() * deadline_factor_ + deadline_grace_s_);
-  }
-
   /// Simulated stream time covered so far, seconds.
   dsp::Real sim_seconds() const {
     return static_cast<dsp::Real>(samples_) / fs_;
@@ -98,7 +64,6 @@ class StreamClock {
   void restart() {
     samples_ = 0;
     blocks_ = 0;
-    deadline_misses_ = 0;
     start_ = Clock::now();
   }
 
@@ -108,7 +73,6 @@ class StreamClock {
   void resume_at(std::uint64_t samples, std::uint64_t blocks) {
     samples_ = samples;
     blocks_ = blocks;
-    deadline_misses_ = 0;
     start_ = Clock::now();
   }
 
@@ -118,9 +82,6 @@ class StreamClock {
   std::size_t block_size_;
   std::uint64_t samples_ = 0;
   std::uint64_t blocks_ = 0;
-  dsp::Real deadline_factor_ = 0.0;
-  dsp::Real deadline_grace_s_ = 0.0;
-  std::uint64_t deadline_misses_ = 0;
   Clock::time_point start_;
 };
 

@@ -35,7 +35,7 @@ class FilterCache {
   };
 
   /// A designed band-pass biquad plus its center-frequency magnitude (the
-  /// normalization ConcreteChannel::apply_resonance divides by). The stored
+  /// normalization the ConcreteChannel resonance divides by). The stored
   /// prototype has zero state; copy it to filter.
   struct ResonatorDesign {
     Biquad prototype;

@@ -1,9 +1,5 @@
 #include "node/capsule.hpp"
 
-#include <algorithm>
-
-#include "dsp/signal_ops.hpp"
-
 namespace ecocap::node {
 
 EcoCapsule::EcoCapsule(CapsuleConfig config, double fs, std::uint64_t seed)
@@ -11,7 +7,7 @@ EcoCapsule::EcoCapsule(CapsuleConfig config, double fs, std::uint64_t seed)
       fs_(fs),
       shell_(config.shell),
       hra_(wave::HelmholtzResonator::paper_prototype(), config.hra_cells),
-      harvester_(config.harvester),
+      harvest_(config.harvester, fs, config.hra_gain, config.power),
       frontend_(fs),
       firmware_(config.firmware, seed) {}
 
@@ -21,22 +17,11 @@ CapsuleRxResult EcoCapsule::receive(std::span<const dsp::Real> acoustic,
   if (acoustic.empty()) return result;
 
   // 1. Harvest: the HRA amplifies the arriving vibration before the PZT;
-  //    charge the storage cap in coarse time steps using the local peak
-  //    amplitude as the rectifier input.
-  const std::size_t chunk = static_cast<std::size_t>(fs_ / 1000.0);  // 1 ms
-  const PowerBreakdown draw = config_.power.standby();
-  const double rail = config_.harvester.ldo_output;
-  for (std::size_t i = 0; i < acoustic.size(); i += chunk) {
-    const std::size_t n = std::min(chunk, acoustic.size() - i);
-    const double amp =
-        dsp::peak(acoustic.subspan(i, n)) * config_.hra_gain;
-    const double load =
-        (harvester_.mcu_powered() ? draw.total() / rail : 0.0) +
-        extra_load_amps_;
-    harvester_.step(static_cast<double>(n) / fs_, amp, load);
-  }
-  result.cap_voltage = harvester_.cap_voltage();
-  result.powered = harvester_.mcu_powered();
+  //    the storage cap charges on the 1 ms grid, which this leg closes.
+  harvest_.push(acoustic);
+  harvest_.flush();
+  result.cap_voltage = harvest_.harvester().cap_voltage();
+  result.powered = harvest_.harvester().mcu_powered();
   if (result.powered) {
     firmware_.power_on();
   } else {

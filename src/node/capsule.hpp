@@ -58,12 +58,12 @@ class EcoCapsule {
   /// Constant parasitic load (A) on the storage cap, on top of the MCU
   /// draw — the fault layer's aged/leaky-cap model. Drains even while the
   /// MCU is off (a leak does not wait for boot). Zero by default.
-  void set_extra_load_amps(double amps) { extra_load_amps_ = amps; }
-  double extra_load_amps() const { return extra_load_amps_; }
+  void set_extra_load_amps(double amps) { harvest_.set_extra_load(amps); }
+  double extra_load_amps() const { return harvest_.extra_load(); }
 
   /// Direct access for tests and experiments.
   Firmware& firmware() { return firmware_; }
-  Harvester& harvester() { return harvester_; }
+  Harvester& harvester() { return harvest_.harvester(); }
   const Shell& shell() const { return shell_; }
   const wave::HelmholtzArray& hra() const { return hra_; }
   const CapsuleConfig& config() const { return config_; }
@@ -74,10 +74,9 @@ class EcoCapsule {
   double fs_;
   Shell shell_;
   wave::HelmholtzArray hra_;
-  Harvester harvester_;
+  HarvestGrid harvest_;
   AnalogFrontend frontend_;
   Firmware firmware_;
-  double extra_load_amps_ = 0.0;
   /// Demodulated level buffer reused across receive() calls.
   std::vector<bool> levels_;
 };

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "dsp/serialize.hpp"
+#include "dsp/signal_ops.hpp"
 
 namespace ecocap::node {
 
@@ -64,5 +65,50 @@ void Harvester::io(Self& self, Ar& ar) {
 
 void Harvester::save(dsp::ser::Writer& w) const { io(*this, w); }
 void Harvester::load(dsp::ser::Reader& r) { io(*this, r); }
+
+HarvestGrid::HarvestGrid(const HarvesterConfig& config, Real fs, Real hra_gain,
+                         const PowerModel& power)
+    : harvester_(config),
+      fs_(fs),
+      hra_gain_(hra_gain),
+      standby_load_(power.standby().total() / config.ldo_output),
+      chunk_(static_cast<std::size_t>(fs / 1000.0)) {
+  if (fs <= 0.0 || chunk_ == 0) {
+    throw std::invalid_argument(
+        "HarvestGrid: fs must give a >= 1 sample chunk");
+  }
+}
+
+void HarvestGrid::push(std::span<const Real> x) {
+  while (!x.empty()) {
+    const std::size_t n = std::min(chunk_ - fill_, x.size());
+    peak_ = std::max(peak_, dsp::peak(x.first(n)));
+    fill_ += n;
+    x = x.subspan(n);
+    if (fill_ == chunk_) step();
+  }
+}
+
+void HarvestGrid::flush() {
+  if (fill_ > 0) step();
+}
+
+void HarvestGrid::step() {
+  const Real load =
+      (harvester_.mcu_powered() ? standby_load_ : 0.0) + extra_load_;
+  harvester_.step(static_cast<Real>(fill_) / fs_, peak_ * hra_gain_, load);
+  peak_ = 0.0;
+  fill_ = 0;
+}
+
+template <class Self, class Ar>
+void HarvestGrid::io(Self& self, Ar& ar) {
+  ar.field("ns.chunk_peak", self.peak_);
+  ar.field("ns.chunk_fill", self.fill_);
+  ar.nested(self.harvester_);
+}
+
+void HarvestGrid::save(dsp::ser::Writer& w) const { io(*this, w); }
+void HarvestGrid::load(dsp::ser::Reader& r) { io(*this, r); }
 
 }  // namespace ecocap::node

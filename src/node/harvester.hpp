@@ -1,8 +1,11 @@
 #pragma once
 
+#include <cstddef>
 #include <optional>
+#include <span>
 
 #include "dsp/types.hpp"
+#include "node/power_model.hpp"
 
 namespace ecocap::dsp::ser {
 class Writer;
@@ -70,6 +73,52 @@ class Harvester {
   HarvesterConfig config_;
   Real v_cap_ = 0.0;
   bool powered_ = false;
+};
+
+/// The harvester driven by an incident waveform on a 1 ms grid: the one
+/// harvest loop of the batch EcoCapsule and the streaming NodeStage. Each
+/// full chunk steps the storage cap once, with the chunk's peak |x| times
+/// the HRA gain as the rectifier input, and as the load the MCU standby
+/// draw (while powered) plus any parasitic leak. A partial chunk carries
+/// across `push` calls, so a waveform pushed in pieces of any size follows
+/// one cap trajectory; `flush` steps the open partial chunk early, which is
+/// where a batch leg ends its grid.
+class HarvestGrid {
+ public:
+  /// @param fs incident sample rate; must give a >= 1 sample chunk
+  /// @param hra_gain HRA receive gain at the carrier
+  /// @param power the MCU standby draw comes from here, off the LDO rail
+  HarvestGrid(const HarvesterConfig& config, Real fs, Real hra_gain,
+              const PowerModel& power);
+
+  void push(std::span<const Real> x);
+  void flush();
+
+  Harvester& harvester() { return harvester_; }
+  const Harvester& harvester() const { return harvester_; }
+
+  /// Constant parasitic load (A) on the storage cap, on top of the MCU
+  /// draw — drains even while the MCU is off. Zero by default.
+  void set_extra_load(Real amps) { extra_load_ = amps; }
+  Real extra_load() const { return extra_load_; }
+
+  /// Bit-exact round trip of the open chunk and the cap. The record names
+  /// are the streaming node's checkpoint records.
+  void save(dsp::ser::Writer& w) const;
+  void load(dsp::ser::Reader& r);
+
+ private:
+  template <class Self, class Ar> static void io(Self& self, Ar& ar);
+  void step();
+
+  Harvester harvester_;
+  Real fs_;
+  Real hra_gain_;
+  Real standby_load_;  // MCU standby draw / LDO rail, amps
+  Real extra_load_ = 0.0;
+  std::size_t chunk_;  // 1 ms of samples
+  Real peak_ = 0.0;
+  std::size_t fill_ = 0;
 };
 
 }  // namespace ecocap::node

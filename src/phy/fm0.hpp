@@ -25,6 +25,12 @@ struct Fm0Params {
 /// reader correlates against its waveform for alignment.
 Bits fm0_preamble(const Fm0Params& params);
 
+/// Air time of a frame carrying `payload_bits` at `bitrate`: preamble plus
+/// payload plus a 4-bit tail. It sizes the carrier a reader keeps on for a
+/// reply, and the capture window that decodes it.
+Real fm0_frame_seconds(std::size_t payload_bits, const Fm0Params& params,
+                       Real bitrate);
+
 /// Encode bits into a bipolar (+1/-1) baseband at sample rate fs, starting
 /// from level `start_level` (+1 or -1). The preamble is NOT added here.
 Signal fm0_encode(std::span<const std::uint8_t> bits, Real fs, Real bitrate,

@@ -1,7 +1,9 @@
 #include "runtime/daemon_supervisor.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "dsp/serialize.hpp"
@@ -47,13 +49,19 @@ DaemonSupervisor::DaemonSupervisor(RuntimeConfig config)
     throw std::invalid_argument(
         "DaemonSupervisor: event_ring_capacity must be > 0");
   }
+  std::error_code ec;
+  if (!config_.checkpoint_dir.empty() &&
+      !std::filesystem::is_directory(config_.checkpoint_dir, ec)) {
+    throw std::invalid_argument(
+        "DaemonSupervisor: checkpoint_dir is not an existing directory: " +
+        config_.checkpoint_dir);
+  }
   daemons_.reserve(config_.daemons.size());
   for (std::size_t i = 0; i < config_.daemons.size(); ++i) {
     auto d = std::make_unique<Daemon>(config_.event_ring_capacity);
     d->config = config_.daemons[i];
     d->config.shared_store = &store_;
     d->config.store_node = i;
-    d->base_block = d->config.stream.block_size;
     fault::FaultPlan chaos_plan;
     chaos_plan.runtime = config_.chaos;
     d->chaos = fault::Injector(chaos_plan, config_.chaos_seed, kChaosSalt + i);
@@ -101,11 +109,6 @@ void DaemonSupervisor::build_reader(Daemon& d, std::size_t i) {
 }
 
 void DaemonSupervisor::launch(Daemon& d, std::size_t i) {
-  // A (re)started daemon re-enters the ladder at the bottom rung with the
-  // nominal block cadence (the fresh reader already has it).
-  d.rung = 0;
-  d.dirty_polls = 0;
-  d.clean_polls = 0;
   d.heartbeat_ns.store(now_ns(), std::memory_order_release);
   d.state.store(State::kRunning, std::memory_order_release);
   d.thread = std::thread([this, i] { daemon_main(i); });
@@ -203,53 +206,24 @@ void DaemonSupervisor::apply_chaos(Daemon& d, std::size_t i) {
   }
 }
 
-void DaemonSupervisor::maybe_checkpoint(Daemon& d, std::size_t i,
-                                        bool force) {
-  if (!force) {
-    const std::uint64_t every = config_.checkpoint_every_polls;
-    if (every == 0 || d.reader->polls_done() % every != 0) return;
-  }
+void DaemonSupervisor::maybe_checkpoint(Daemon& d, std::size_t i) {
+  const std::uint64_t every = config_.checkpoint_every_polls;
+  if (every == 0 || d.reader->polls_done() % every != 0) return;
   std::string payload = d.reader->checkpoint();
-  if (!config_.checkpoint_dir.empty()) {
-    dsp::ser::atomic_write_file(
-        config_.checkpoint_dir + "/daemon_" + std::to_string(i) + ".ckpt",
-        payload);
+  if (!config_.checkpoint_dir.empty() &&
+      !dsp::ser::atomic_write_file(
+          config_.checkpoint_dir + "/daemon_" + std::to_string(i) + ".ckpt",
+          payload)) {
+    // The file is a mirror for out-of-process recovery; the in-memory
+    // checkpoint below still serves restarts, so a failed write is counted,
+    // not fatal.
+    ++d.stats.checkpoint_write_failures;
   }
   {
     const std::lock_guard<std::mutex> lock(d.checkpoint_mu);
     d.checkpoint = std::move(payload);
   }
   ++d.stats.checkpoints;
-}
-
-bool DaemonSupervisor::shed_this_event(Daemon& d) {
-  if (!config_.degrade.enabled || d.rung == 0) return false;
-  if (d.rung >= 3) return true;  // quarantined: publish nothing, probe later
-  return d.reader->polls_done() % 2 == 1;  // shed every other event
-}
-
-void DaemonSupervisor::degrade_account(Daemon& d, std::size_t dropped) {
-  if (!config_.degrade.enabled) return;
-  if (dropped > 0) {
-    ++d.dirty_polls;
-    d.clean_polls = 0;
-  } else {
-    ++d.clean_polls;
-    d.dirty_polls = 0;
-  }
-  if (d.dirty_polls >= config_.degrade.trip_polls && d.rung < 3) {
-    ++d.rung;
-    d.dirty_polls = 0;
-    d.stats.degrade_rung_max = std::max(d.stats.degrade_rung_max, d.rung);
-    if (d.rung == 2) {
-      d.reader->pipeline().set_block_size(d.base_block *
-                                          config_.degrade.coarsen_factor);
-    }
-  } else if (d.clean_polls >= config_.degrade.cool_polls && d.rung > 0) {
-    if (d.rung == 2) d.reader->pipeline().set_block_size(d.base_block);
-    --d.rung;
-    d.clean_polls = 0;
-  }
 }
 
 void DaemonSupervisor::poll_step(Daemon& d, std::size_t i) {
@@ -272,32 +246,26 @@ void DaemonSupervisor::poll_step(Daemon& d, std::size_t i) {
     ev.t_sec = latest->t_sec;
     ev.value = latest->value;
   }
-  if (shed_this_event(d)) {
-    ++d.stats.events_shed;
-    degrade_account(d, 0);
-  } else {
-    ++d.stats.events_pushed;
-    std::size_t dropped = 0;
-    if (config_.event_policy == core::Overflow::kBlock) {
-      while (!d.events.try_push(ev)) {
-        if (d.events.closed() || d.abort.load(std::memory_order_acquire) ||
-            shutdown_.load(std::memory_order_acquire)) {
-          dropped = 1;  // shutdown teardown: the event is lost, account it
-          break;
-        }
-        std::this_thread::yield();
+  ++d.stats.events_pushed;
+  std::size_t dropped = 0;
+  if (config_.event_policy == core::Overflow::kBlock) {
+    while (!d.events.try_push(ev)) {
+      if (d.events.closed() || d.abort.load(std::memory_order_acquire) ||
+          shutdown_.load(std::memory_order_acquire)) {
+        dropped = 1;  // shutdown teardown: the event is lost, account it
+        break;
       }
-    } else {
-      dropped = d.events.push(std::move(ev), config_.event_policy);
+      std::this_thread::yield();
     }
-    if (dropped > 0) {
-      d.stats.events_dropped += dropped;
-      d.reader->add_events_dropped(dropped);
-    }
-    degrade_account(d, dropped);
+  } else {
+    dropped = d.events.push(std::move(ev), config_.event_policy);
+  }
+  if (dropped > 0) {
+    d.stats.events_dropped += dropped;
+    d.reader->add_events_dropped(dropped);
   }
 
-  maybe_checkpoint(d, i, false);
+  maybe_checkpoint(d, i);
 }
 
 void DaemonSupervisor::restart(Daemon& d, std::size_t i) {

@@ -44,21 +44,6 @@ struct ChaosEvent {
   std::uint64_t arg = 1;
 };
 
-/// Graceful-degradation ladder under sustained event-ring overload. Rungs
-/// escalate after `trip_polls` consecutive polls that dropped events and
-/// relax after `cool_polls` clean polls:
-///   0 normal -> 1 shed (publish every other event) -> 2 coarsen (double
-///   the pipeline block size) -> 3 quarantine (publish nothing, probe back).
-/// Rung 2 changes the per-block fault draws (see
-/// StreamPipeline::set_block_size), so the ladder defaults to off and MUST
-/// stay off during determinism-checked chaos runs.
-struct DegradeConfig {
-  bool enabled = false;
-  int trip_polls = 4;
-  int cool_polls = 16;
-  std::size_t coarsen_factor = 2;
-};
-
 struct RuntimeConfig {
   /// One reader config per daemon (seeds/node ids prepared by the caller).
   /// The supervisor overrides `shared_store`/`store_node`: daemon i writes
@@ -71,7 +56,10 @@ struct RuntimeConfig {
   /// Checkpoint cadence in polls (0 = only the implicit restart-from-
   /// scratch recovery). Checkpoints are kept in memory and — when
   /// `checkpoint_dir` is set — mirrored to `<dir>/daemon_<i>.ckpt` via the
-  /// crash-safe atomic_write_file.
+  /// crash-safe atomic_write_file. A set `checkpoint_dir` must be an
+  /// existing directory (the constructor throws otherwise); a write that
+  /// fails mid-run is counted in `checkpoint_write_failures` while the
+  /// in-memory checkpoint still updates.
   std::uint64_t checkpoint_every_polls = 8;
   std::string checkpoint_dir;
   /// Daemon -> collector event rings: capacity and overflow policy.
@@ -89,7 +77,6 @@ struct RuntimeConfig {
   std::uint64_t chaos_seed = 0;
   /// Scripted chaos (precise, exactly-once; see ChaosEvent).
   std::vector<ChaosEvent> script;
-  DegradeConfig degrade;
   /// Collector-side observer, invoked on the collector thread for every
   /// drained event (demo/monitoring hook; keep it cheap).
   std::function<void(const PollEvent&)> on_event;
@@ -104,14 +91,13 @@ struct DaemonRuntimeStats {
   std::uint64_t stalls = 0;            ///< injected pipeline stalls
   std::uint64_t watchdog_kicks = 0;    ///< hung detections (stale heartbeat)
   std::uint64_t checkpoints = 0;
+  std::uint64_t checkpoint_write_failures = 0;  ///< file mirror not written
   std::uint64_t resumed_from_checkpoint = 0;
   std::uint64_t restarted_from_scratch = 0;
   std::uint64_t events_pushed = 0;     ///< ring pushes attempted
-  std::uint64_t events_shed = 0;       ///< suppressed by the degrade ladder
   std::uint64_t events_dropped = 0;    ///< lost to ring overflow (exact)
   double recovery_latency_ms_total = 0.0;
   double recovery_latency_ms_max = 0.0;
-  int degrade_rung_max = 0;
 };
 
 struct RuntimeStats {
@@ -143,9 +129,8 @@ struct RuntimeStats {
 /// fleet alive through injected failure.
 ///
 ///  * **Health**: every daemon heartbeats after each poll; the watchdog
-///    declares a daemon hung when its heartbeat goes stale (a stalled
-///    pipeline also racks up StreamClock deadline misses, surfaced in the
-///    reader stats) and aborts it for restart. Daemon threads are
+///    declares a daemon hung when its heartbeat goes stale and aborts it
+///    for restart. Daemon threads are
 ///    exception-isolated: a throw marks the daemon crashed, never takes the
 ///    process down.
 ///  * **Recovery**: daemons checkpoint on poll boundaries (bit-exact
@@ -159,8 +144,6 @@ struct RuntimeStats {
 ///  * **Backpressure**: poll events flow over bounded SpscRings under an
 ///    explicit Overflow policy; drops are counted exactly (push() returns
 ///    the eviction count) and fed back into the checkpointed reader stats.
-///    Under sustained overload the optional degradation ladder sheds,
-///    coarsens, then quarantines (DegradeConfig).
 ///  * **Chaos**: scripted ChaosEvents fire at exact poll indices;
 ///    probabilistic chaos draws per-poll from seeded fault::Injectors.
 ///
@@ -220,10 +203,6 @@ class DaemonSupervisor {
     std::vector<ChaosEvent> script;  // this daemon's events, by at_poll
     std::size_t next_script = 0;
     bool last_delivered = false;     // set by the reader's poll hook
-    int rung = 0;
-    int dirty_polls = 0;   // consecutive polls that dropped events
-    int clean_polls = 0;
-    std::size_t base_block = 0;
     DaemonRuntimeStats stats;
 
     // Watchdog-thread-private hung-detection backoff: on an oversubscribed
@@ -246,13 +225,11 @@ class DaemonSupervisor {
   /// Reset the daemon's supervision state and launch its thread. The
   /// reader must be fully built (and resumed, on a restart) first.
   void launch(Daemon& d, std::size_t i);
-  /// One poll plus its chaos/degradation bookkeeping. Throws to crash.
+  /// One poll plus its chaos bookkeeping. Throws to crash.
   void poll_step(Daemon& d, std::size_t i);
   void apply_chaos(Daemon& d, std::size_t i);
-  void maybe_checkpoint(Daemon& d, std::size_t i, bool force);
+  void maybe_checkpoint(Daemon& d, std::size_t i);
   void restart(Daemon& d, std::size_t i);
-  void degrade_account(Daemon& d, std::size_t dropped);
-  bool shed_this_event(Daemon& d);
 
   RuntimeConfig config_;
   fleet::TelemetryStore store_;

@@ -21,8 +21,6 @@ struct StreamConfig {
   /// per-sample recurrence); smaller blocks bound latency, larger ones
   /// amortize per-block overhead.
   std::size_t block_size = 256;
-  /// Ring capacity between stages, in blocks (threaded mode).
-  std::size_t ring_blocks = 8;
   /// When true, each advance segment runs the five stages on five threads
   /// (tx on the caller) coupled by SPSC rings; decodes are bit-identical
   /// to the inline mode because the rings preserve block order and each
@@ -71,8 +69,6 @@ class StreamPipeline {
   Real fs() const { return config_.system.channel.fs; }
   Real sim_seconds() const { return clock_.sim_seconds(); }
   const core::StreamClock& clock() const { return clock_; }
-  /// Mutable clock access for deadline arming/checking (control plane).
-  core::StreamClock& clock() { return clock_; }
   /// Re-zero the clock (e.g. when a daemon finishes warming up and starts
   /// the measured run).
   void restart_clock() { clock_.restart(); }
@@ -95,13 +91,6 @@ class StreamPipeline {
   const dsp::Workspace::Stats& rx_workspace_stats() const {
     return rx_.workspace_stats();
   }
-
-  /// Change the block cadence from the next advance on. Decodes are
-  /// block-size invariant, but per-block fault *draws* are not — the
-  /// degradation ladder's coarsening step trades bit-replayability of the
-  /// fault realization for throughput, which is why the ladder is off
-  /// during determinism-checked chaos runs.
-  void set_block_size(std::size_t block_size);
 
   /// Bit-exact carried-state round trip at a quiescent point: no advance
   /// in flight, no scheduled emission/capture pending, decodes and node

@@ -1,7 +1,6 @@
 #include "stream/stream_stages.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -66,14 +65,7 @@ void DownlinkStage::load(dsp::ser::Reader& r) { io(*this, r); }
 
 NodeStage::NodeStage(const Config& config)
     : config_(config),
-      harvester_(config.harvester),
-      standby_load_(config.power.standby().total() /
-                    config.harvester.ldo_output),
-      chunk_(static_cast<std::size_t>(config.fs / 1000.0)) {
-  if (config.fs <= 0.0 || chunk_ == 0) {
-    throw std::invalid_argument("NodeStage: fs must give a >= 1 sample chunk");
-  }
-}
+      harvest_(config.harvester, config.fs, config.hra_gain, config.power) {}
 
 void NodeStage::schedule(ScheduledEmission e) {
   if (e.start < pos_) {
@@ -98,9 +90,7 @@ std::vector<NodeFrameEvent> NodeStage::drain_events() {
 template <class Self, class Ar>
 void NodeStage::io(Self& self, Ar& ar) {
   ar.field("ns.pos", self.pos_);
-  ar.field("ns.chunk_peak", self.chunk_peak_);
-  ar.field("ns.chunk_fill", self.chunk_fill_);
-  ar.nested(self.harvester_);
+  ar.nested(self.harvest_);
   ar.nested(self.injector_);
 }
 
@@ -125,33 +115,14 @@ void NodeStage::load(dsp::ser::Reader& r) {
   events_.clear();
 }
 
-void NodeStage::harvest_segment(const Real* x, std::size_t n) {
-  // The batch EcoCapsule steps the harvester once per 1 ms chunk of each
-  // receive() call. The stream has no call boundaries, so the chunk grid is
-  // anchored to the absolute sample index — any block split sees the same
-  // chunk boundaries and therefore the same harvester trajectory.
-  for (std::size_t i = 0; i < n; ++i) {
-    const Real a = std::abs(x[i]);
-    if (a > chunk_peak_) chunk_peak_ = a;
-    if (++chunk_fill_ == chunk_) {
-      const Real amp = chunk_peak_ * config_.hra_gain;
-      const Real load =
-          (harvester_.mcu_powered() ? standby_load_ : 0.0) + extra_load_;
-      harvester_.step(static_cast<Real>(chunk_fill_) / config_.fs, amp, load);
-      chunk_peak_ = 0.0;
-      chunk_fill_ = 0;
-    }
-  }
-}
-
 void NodeStage::begin_emission(std::uint64_t abs) {
   ScheduledEmission e = std::move(queue_.front());
   queue_.pop_front();
   NodeFrameEvent ev;
   ev.node_id = e.node_id;
   ev.start = abs;
-  ev.cap_voltage = harvester_.cap_voltage();
-  if (harvester_.mcu_powered()) {
+  ev.cap_voltage = cap_voltage();
+  if (powered()) {
     ev.emitted = true;
     std::uint64_t len = e.switching.size();
     if (injector_.brownout_aborts_frame()) {
@@ -188,9 +159,11 @@ void NodeStage::push_block(Signal& x) {
     }
     const auto len = static_cast<std::size_t>(seg_end - abs);
     // Harvest reads the raw incident samples, then the reflection replaces
-    // them in place. Power decisions happen in absolute order because the
-    // segment walk never crosses an emission start.
-    harvest_segment(x.data() + i, len);
+    // them in place. The chunk grid is anchored to the absolute sample
+    // index (partial chunks carry across blocks), and power decisions happen
+    // in absolute order because the segment walk never crosses an emission
+    // start — so any block split sees the same cap trajectory.
+    harvest_.push(std::span<const Real>(x.data() + i, len));
     phy::BackscatterParams bp = config_.backscatter;
     std::span<const Real> switching;
     std::uint64_t offset = 0;

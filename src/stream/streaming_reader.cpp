@@ -111,12 +111,9 @@ std::optional<phy::Bits> StreamingReader::exchange(const phy::Command& cmd,
 
   // The capture spans the emission plus the batch path's 4-bit tail.
   const std::uint64_t start = pipeline_.position();
-  const dsp::Real frame_time =
-      (static_cast<dsp::Real>(frame.payload.size()) +
-       static_cast<dsp::Real>(phy::fm0_preamble(line).size()) + 4.0) /
-      tx_bitrate;
-  const auto win_len =
-      static_cast<std::uint64_t>(frame_time * pipeline_.fs());
+  const auto win_len = static_cast<std::uint64_t>(
+      phy::fm0_frame_seconds(frame.payload.size(), line, tx_bitrate) *
+      pipeline_.fs());
   stream::CaptureWindow window;
   window.node_id = node_id;
   window.start = start;
@@ -154,10 +151,6 @@ void StreamingReader::ensure_started() {
   // loaded state wins.
   if (config_.supervisor.enabled) {
     supervisor_.track(config_.stream.system.capsule.firmware.node_id);
-  }
-  if (config_.deadline_factor > 0.0) {
-    pipeline_.clock().arm_deadline(config_.deadline_factor,
-                                   config_.deadline_grace_s);
   }
   if (warmed_up_) return;
   const auto warmup =
@@ -227,7 +220,6 @@ void StreamingReader::poll_once(std::uint64_t poll_end) {
     pipeline_.advance_to(poll_end);
     absorb_node_events();
   }
-  pipeline_.clock().check_deadline();
   if (hook_) hook_(poll_no, delivered);
 }
 
@@ -263,7 +255,6 @@ StreamingReaderStats StreamingReader::stats() const {
   s.sim_seconds = pipeline_.clock().sim_seconds();
   s.wall_seconds = pipeline_.clock().wall_seconds();
   s.real_time_factor = pipeline_.clock().real_time_factor();
-  s.deadline_misses = pipeline_.clock().deadline_misses();
   return s;
 }
 

@@ -38,18 +38,13 @@ struct StreamingReaderConfig {
   /// node). The store must outlive the reader.
   fleet::TelemetryStore* shared_store = nullptr;
   std::size_t store_node = 0;
-  /// Wall-clock budget per simulated second for the watchdog's deadline
-  /// accounting (`StreamClock::arm_deadline`); <= 0 leaves it off. Health
-  /// telemetry only — never feeds checkpoints or decode paths.
-  dsp::Real deadline_factor = 0.0;
-  dsp::Real deadline_grace_s = 0.25;
 };
 
 /// Aggregate outcome of a daemon run. Counters are *cumulative* across run
 /// calls (and across checkpoint/resume — they are part of the checkpoint),
 /// so a supervisor restarting a daemon mid-campaign reads totals identical
 /// to an uninterrupted run. The wall-clock fields (wall_seconds,
-/// real_time_factor, deadline_misses) restart with the process.
+/// real_time_factor) restart with the process.
 struct StreamingReaderStats {
   std::uint64_t polls = 0;
   std::uint64_t delivered = 0;  // full Query -> Ack -> Read rounds ingested
@@ -70,9 +65,6 @@ struct StreamingReaderStats {
   /// run — the streaming headline metric; >= 1 means the daemon keeps up
   /// with a live ADC at fs.
   dsp::Real real_time_factor = 0.0;
-  /// Poll deadlines missed against the armed wall budget (see
-  /// StreamingReaderConfig::deadline_factor). Wall-clock health telemetry.
-  std::uint64_t deadline_misses = 0;
 };
 
 /// Long-running streaming interrogation daemon: drives the StreamPipeline

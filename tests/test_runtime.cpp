@@ -474,6 +474,51 @@ TEST(DaemonSupervisor, ValidatesConfig) {
                std::invalid_argument);
 }
 
+TEST(DaemonSupervisor, RejectsACheckpointDirThatIsNotADirectory) {
+  auto config = fleet_config(1, 1);
+  config.checkpoint_dir = ::testing::TempDir() + "ecocap_no_such_ckpt_dir";
+  try {
+    ecocap::runtime::DaemonSupervisor supervisor(config);
+    FAIL() << "a missing checkpoint_dir must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(config.checkpoint_dir),
+              std::string::npos)
+        << "the error must name the directory: " << e.what();
+  }
+
+  // A regular file is not a directory either.
+  const std::string file = ::testing::TempDir() + "ecocap_ckpt_dir_file";
+  ASSERT_TRUE(ecocap::dsp::ser::atomic_write_file(file, "not a directory"));
+  config.checkpoint_dir = file;
+  EXPECT_THROW(ecocap::runtime::DaemonSupervisor{config},
+               std::invalid_argument);
+  std::remove(file.c_str());
+}
+
+TEST(DaemonSupervisor, CountsFailedCheckpointWritesAndKeepsResuming) {
+  // daemon_0.ckpt is a non-empty directory, so every mirror write's rename
+  // fails after the directory itself passed the constructor's check.
+  const std::string dir = ::testing::TempDir() + "ecocap_ckpt_blocked";
+  ASSERT_EQ(::system(("mkdir -p '" + dir + "/daemon_0.ckpt/occupant'").c_str()),
+            0);
+  auto config = fleet_config(1, 8);  // checkpoints after polls 4 and 8
+  config.checkpoint_dir = dir;
+  using Chaos = ecocap::runtime::ChaosEvent;
+  config.script = {{0, 6, Chaos::Kind::kCrash, 1}};
+  ecocap::runtime::DaemonSupervisor supervisor(config);
+  const auto stats = supervisor.run();
+  ASSERT_EQ(::system(("rm -rf '" + dir + "'").c_str()), 0);
+
+  const auto& d = stats.daemons[0];
+  EXPECT_EQ(d.polls_done, 8u);
+  EXPECT_GE(d.checkpoints, 2u);
+  EXPECT_EQ(d.checkpoint_write_failures, d.checkpoints)
+      << "every failed file write is counted";
+  EXPECT_GE(d.crashes, 1u);
+  EXPECT_GE(d.resumed_from_checkpoint, 1u)
+      << "the in-memory checkpoint still serves the restart";
+}
+
 // ---------------------------------------------------------------------------
 // Seeded probabilistic chaos soak (slow label)
 // ---------------------------------------------------------------------------
