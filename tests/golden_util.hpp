@@ -1,12 +1,18 @@
 #pragma once
 
 // Shared golden-vector plumbing for the regression suites
-// (test_golden_vectors, test_scenario). A golden file is flat JSON:
+// (test_golden_vectors, test_scenario, test_waveform_golden). A golden file
+// is flat JSON:
 //   {"name": "...", "hash": "<16 hex>",
 //    "scalars": {"k": "hex:<16 hex> dec:<%.17g>", ...}}
 // The hash is FNV-1a over the bit patterns of a computed double series, so
 // any bit-level drift in a pinned pipeline fails loudly. The decimal in
 // each scalar is for humans; comparisons use the hex bit pattern only.
+//
+// A vector can instead pin several named series, one digest each
+// ("<name>_hash" in place of "hash"), so that a change which may move only
+// some outputs — e.g. the floats of a run but not its decisions — shows in
+// the diff which digests moved and which held.
 //
 // Regenerating after an intentional change: run the owning test binary
 // with --regen (parsed by golden_test_main) and commit the rewritten
@@ -53,8 +59,12 @@ inline std::uint64_t hash_series(const std::vector<double>& values) {
 
 // --- golden file I/O --------------------------------------------------------
 
+/// Named series of one vector, each pinned by its own "<name>_hash".
+using Digests = std::map<std::string, std::vector<double>>;
+
 struct Golden {
-  std::uint64_t hash = 0;
+  /// JSON key ("hash" or "<name>_hash") -> digest.
+  std::map<std::string, std::uint64_t> hashes;
   std::map<std::string, std::uint64_t> scalars;
 };
 
@@ -76,9 +86,15 @@ inline bool load_golden(const std::string& dir, const std::string& name,
   auto hex_after = [&text](std::size_t pos) {
     return std::strtoull(text.c_str() + pos, nullptr, 16);
   };
-  const std::size_t hpos = text.find("\"hash\": \"");
-  if (hpos == std::string::npos) return false;
-  out.hash = hex_after(hpos + 9);
+  // Digests: every "...hash": "<16 hex>" (a scalar's value starts "hex:").
+  for (std::size_t pos = 0;
+       (pos = text.find("hash\": \"", pos)) != std::string::npos; pos += 8) {
+    if (text.compare(pos + 8, 4, "hex:") == 0) continue;
+    const std::size_t key_start = text.rfind('"', pos) + 1;
+    out.hashes[text.substr(key_start, pos + 4 - key_start)] =
+        hex_after(pos + 8);
+  }
+  if (out.hashes.empty()) return false;
   // Scalars: every occurrence of "key": "hex:....".
   std::size_t pos = 0;
   while ((pos = text.find("\"hex:", pos)) != std::string::npos) {
@@ -92,12 +108,14 @@ inline bool load_golden(const std::string& dir, const std::string& name,
 }
 
 inline void write_golden(const std::string& dir, const std::string& name,
-                         std::uint64_t hash,
+                         const std::map<std::string, std::uint64_t>& hashes,
                          const std::map<std::string, double>& scalars) {
   std::FILE* f = std::fopen(golden_path(dir, name).c_str(), "w");
   ASSERT_NE(f, nullptr) << "cannot write " << golden_path(dir, name);
   std::fprintf(f, "{\n  \"name\": \"%s\",\n", name.c_str());
-  std::fprintf(f, "  \"hash\": \"%016" PRIx64 "\",\n", hash);
+  for (const auto& [key, hash] : hashes) {
+    std::fprintf(f, "  \"%s\": \"%016" PRIx64 "\",\n", key.c_str(), hash);
+  }
   std::fprintf(f, "  \"scalars\": {");
   bool first = true;
   for (const auto& [key, value] : scalars) {
@@ -110,13 +128,13 @@ inline void write_golden(const std::string& dir, const std::string& name,
   std::fclose(f);
 }
 
-/// Regenerate or verify one golden vector under `dir`.
-inline void check_golden(const std::string& dir, const std::string& name,
-                         const std::vector<double>& series,
+/// Regenerate or verify the digests (JSON key -> hash) and scalars of one
+/// golden vector under `dir`.
+inline void check_hashes(const std::string& dir, const std::string& name,
+                         const std::map<std::string, std::uint64_t>& hashes,
                          const std::map<std::string, double>& scalars) {
-  const std::uint64_t hash = hash_series(series);
   if (g_regen) {
-    write_golden(dir, name, hash, scalars);
+    write_golden(dir, name, hashes, scalars);
     SUCCEED() << "regenerated " << golden_path(dir, name);
     return;
   }
@@ -124,10 +142,16 @@ inline void check_golden(const std::string& dir, const std::string& name,
   ASSERT_TRUE(load_golden(dir, name, golden))
       << "missing golden vector " << golden_path(dir, name)
       << " — run this test binary with --regen and commit the result";
-  EXPECT_EQ(golden.hash, hash)
-      << name << ": series hash drifted — the pinned pipeline is no "
-      << "longer bit-identical to the checked-in vector. If the change is "
-      << "intentional, rerun with --regen and commit.";
+  EXPECT_EQ(golden.hashes.size(), hashes.size())
+      << name << ": the file pins a different set of digests";
+  for (const auto& [key, hash] : hashes) {
+    const auto it = golden.hashes.find(key);
+    ASSERT_NE(it, golden.hashes.end()) << name << ": missing " << key;
+    EXPECT_EQ(it->second, hash)
+        << name << "." << key << " drifted — the pinned pipeline is no "
+        << "longer bit-identical to the checked-in vector. If the change is "
+        << "intentional, rerun with --regen and commit.";
+  }
   for (const auto& [key, value] : scalars) {
     const auto it = golden.scalars.find(key);
     ASSERT_NE(it, golden.scalars.end()) << name << ": missing scalar " << key;
@@ -135,6 +159,24 @@ inline void check_golden(const std::string& dir, const std::string& name,
         << name << "." << key << ": expected "
         << std::bit_cast<double>(it->second) << ", got " << value;
   }
+}
+
+/// One series pinned by a single "hash".
+inline void check_golden(const std::string& dir, const std::string& name,
+                         const std::vector<double>& series,
+                         const std::map<std::string, double>& scalars) {
+  check_hashes(dir, name, {{"hash", hash_series(series)}}, scalars);
+}
+
+/// Several named series, each pinned by its own "<name>_hash".
+inline void check_golden(const std::string& dir, const std::string& name,
+                         const Digests& digests,
+                         const std::map<std::string, double>& scalars) {
+  std::map<std::string, std::uint64_t> hashes;
+  for (const auto& [key, series] : digests) {
+    hashes[key + "_hash"] = hash_series(series);
+  }
+  check_hashes(dir, name, hashes, scalars);
 }
 
 /// Drop-in main() for golden test binaries: strips --regen, then runs

@@ -1,9 +1,15 @@
 // Waveform-level golden pins: the absolute output of complete
 // tx -> channel -> node -> rx runs, not the agreement of two code paths.
 // Each vector hashes (FNV-1a, tests/golden_util.hpp) the bit patterns of
-// every double a run reports — cap voltages, decision SNRs, carrier
-// estimates, ranging delays, decoded bits — so a refactor of the channel,
-// harvester or receiver that moves a single output bit fails here.
+// every double a run reports, so a refactor of the channel, harvester or
+// receiver that moves a single output bit fails here. The outputs are
+// split over two digests:
+//   * decisions — powered/decoded flags, payload bits, sensor values,
+//     ranging validity and distance, inventory counts, stored telemetry;
+//   * floats — decision SNRs, carrier estimates, cap voltages.
+// A change that should move only floats (a numerically different but
+// equivalent receiver) regenerates the floats digests and must leave every
+// decisions digest byte-identical.
 //
 // Pinned:
 //   * LinkSimulator::interrogate / uplink_once / charge over three seeds on
@@ -41,22 +47,24 @@ namespace {
 
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
 
-void check_golden(const std::string& name, const std::vector<double>& series,
+void check_golden(const std::string& name, const golden::Digests& digests,
                   const std::map<std::string, double>& scalars) {
-  golden::check_golden(ECOCAP_GOLDEN_DIR, name, series, scalars);
+  golden::check_golden(ECOCAP_GOLDEN_DIR, name, digests, scalars);
 }
 
-void push_result(std::vector<double>& s, const core::InterrogationResult& r) {
+void push_result(golden::Digests& d, const core::InterrogationResult& r) {
+  std::vector<double>& s = d["decisions"];
   s.push_back(r.node_powered);
   s.push_back(r.command_decoded);
   s.push_back(r.uplink_decoded);
-  s.push_back(r.cap_voltage);
-  s.push_back(r.uplink_snr_db);
-  s.push_back(r.carrier_estimate);
   s.push_back(static_cast<double>(r.uplink_payload.size()));
   for (const auto b : r.uplink_payload) s.push_back(b);
   s.push_back(r.sensor_value.has_value());
   s.push_back(r.sensor_value.value_or(0.0));
+  std::vector<double>& f = d["floats"];
+  f.push_back(r.cap_voltage);
+  f.push_back(r.uplink_snr_db);
+  f.push_back(r.carrier_estimate);
 }
 
 /// interrogate, uplink_once and charge on fresh simulators per seed.
@@ -65,7 +73,7 @@ void check_link(const std::string& name, const core::SystemConfig& system) {
       std::make_shared<const core::SystemConfig>(system);
   dsp::Rng payload_rng(99);
   const phy::Bits payload = phy::random_bits(32, payload_rng);
-  std::vector<double> series;
+  golden::Digests series;
   std::map<std::string, double> scalars;
   double delivered = 0.0, decoded = 0.0;
   for (const std::uint64_t seed : kSeeds) {
@@ -112,7 +120,7 @@ TEST(WaveformGolden, LinkWithMultipath) {
 }
 
 TEST(WaveformGolden, NodeRanging) {
-  std::vector<double> series;
+  std::vector<double> series;  // validity, distance, round trip: decisions
   std::map<std::string, double> scalars;
   for (const std::uint64_t seed : kSeeds) {
     auto system = core::default_system();
@@ -124,7 +132,7 @@ TEST(WaveformGolden, NodeRanging) {
     series.push_back(est.round_trip_s);
     scalars["distance_seed_" + std::to_string(seed)] = est.distance;
   }
-  check_golden("ranging", series, scalars);
+  check_golden("ranging", {{"decisions", series}}, scalars);
 }
 
 core::MultiNodeLink::Config multinode_config(std::uint8_t q,
@@ -170,7 +178,7 @@ TEST(WaveformGolden, MultiNodeInventory) {
     scalars["identified_run_" + std::to_string(run++)] =
         static_cast<double>(r.inventoried_ids.size());
   }
-  check_golden("multinode_inventory", series, scalars);
+  check_golden("multinode_inventory", {{"decisions", series}}, scalars);
 }
 
 TEST(WaveformGolden, StreamingReaderAfterMidRunFault) {
@@ -195,8 +203,7 @@ TEST(WaveformGolden, StreamingReaderAfterMidRunFault) {
         stats.fault_events_applied}) {
     series.push_back(static_cast<double>(v));
   }
-  check_golden("streaming_reader_fault",
-               series,
+  check_golden("streaming_reader_fault", {{"decisions", series}},
                {{"delivered", static_cast<double>(stats.delivered)},
                 {"polls", static_cast<double>(stats.polls)},
                 {"fault_events_applied",
