@@ -18,10 +18,13 @@
 
 #include "bench_json.hpp"
 #include "channel/concrete_channel.hpp"
+#include "channel/link_budget.hpp"
 #include "core/ber_harness.hpp"
 #include "core/link_simulator.hpp"
 #include "core/thread_pool.hpp"
 #include "core/workspace_pool.hpp"
+#include "dsp/correlate.hpp"
+#include "dsp/decimate.hpp"
 #include "dsp/envelope.hpp"
 #include "dsp/fast_convolve.hpp"
 #include "dsp/fft.hpp"
@@ -31,7 +34,10 @@
 #include "dsp/rng.hpp"
 #include "dsp/signal_ops.hpp"
 #include "wave/fdtd.hpp"
+#include "phy/carrier.hpp"
 #include "phy/fm0.hpp"
+#include "reader/receiver.hpp"
+#include "reader/transmitter.hpp"
 
 using namespace ecocap;
 
@@ -566,6 +572,93 @@ void record_headline_metrics(ecocap::bench::BenchJson& json) {
     json.metric("correlate_512tmpl_32k_direct_ns", direct_ns);
     json.metric("correlate_512tmpl_32k_fft_ns", fft_ns);
     json.metric("correlate_512tmpl_32k_speedup", direct_ns / fft_ns);
+  }
+
+  // The receiver's FM0 frame search: the decimated baseband of a 96k-sample
+  // window (1549 samples) against the 387-sample preamble template, on the
+  // SIMD direct kernel and on the overlap-save FFT path. correlate_valid's
+  // cost model must pick the faster one (correlate_frame_search_uses_fft).
+  {
+    dsp::Rng rng(13);
+    dsp::Signal x(1549), h(387);
+    for (auto& v : x) v = rng.gaussian();
+    for (auto& v : h) v = rng.gaussian();
+    dsp::Signal out(x.size() - h.size() + 1);
+    json.metric("correlate_frame_search_direct_ns", time_ns([&] {
+      dsp::kernels::active().correlate_valid(x.data(), x.size(), h.data(),
+                                             h.size(), out.data());
+      benchmark::DoNotOptimize(out.data());
+    }));
+    json.metric("correlate_frame_search_fft_ns", time_ns([&] {
+      benchmark::DoNotOptimize(dsp::correlate_valid_fft(x, h));
+    }));
+    json.metric("correlate_frame_search_uses_fft",
+                dsp::use_fft_convolution(x.size(), h.size(),
+                                         dsp::DirectForm::kSimdKernel)
+                    ? 1.0
+                    : 0.0);
+  }
+
+  // Receiver::decode on a default-system uplink capture: a 32-bit FM0
+  // frame at the default 1 kb/s and 4 kHz BLF, reflected by the node and
+  // carried back by the default channel (~96k samples at 2 MHz). The front
+  // end is then timed against the full-rate reference chain it replaced:
+  // estimate_tone_frequency over the whole window, mix_down, complex
+  // filter_zero_phase, every m-th sample kept.
+  {
+    const core::SystemConfig cfg = core::default_system();
+    const dsp::Real fs = cfg.channel.fs;
+    const phy::Fm0Params line = cfg.capsule.firmware.uplink;
+    dsp::Rng prng(9);
+    const phy::Bits payload = phy::random_bits(32, prng);
+    const channel::ConcreteChannel ch(cfg.structure, cfg.channel);
+    reader::Transmitter transmitter(cfg.transmitter);
+    dsp::Rng rng(7);
+    dsp::Signal cw, at_node, emission, capture;
+    transmitter.continuous_wave(
+        phy::fm0_frame_seconds(payload.size(), line, line.bitrate), cw);
+    ch.downlink(cw, rng, at_node);
+    dsp::scale(at_node, channel::node_volts_scale(
+                            cfg.structure, cfg.transmitter.tx_voltage));
+    phy::BackscatterParams bp = cfg.capsule.backscatter;
+    bp.f_blf = cfg.capsule.firmware.blf;
+    phy::backscatter_modulate(at_node, phy::fm0_encode_frame(payload, line, fs),
+                              fs, bp, emission);
+    ch.uplink(emission, cfg.transmitter.carrier.f_resonant, rng, capture);
+
+    reader::Receiver receiver(cfg.receiver);
+    receiver.set_blf(bp.f_blf);
+    receiver.set_bitrate(line.bitrate);
+    dsp::Workspace ws;
+    const reader::UplinkDecode dec = receiver.decode(capture, payload.size(), ws);
+    json.metric("decode_window_samples", static_cast<double>(capture.size()));
+    json.metric("decode_valid", dec.valid && dec.payload == payload ? 1.0 : 0.0);
+    json.metric("decode_ms_per_window", 1e-6 * time_ns([&] {
+      benchmark::DoNotOptimize(receiver.decode(capture, payload.size(), ws));
+    }, 0.2));
+
+    const reader::ReceiverConfig& rc = receiver.config();
+    const dsp::Signal h = dsp::design_lowpass(
+        fs, std::max(2.5 * line.bitrate + bp.f_blf, 8.0e3), rc.lowpass_taps);
+    constexpr std::size_t kM = 62;  // the receiver's decimation at 1 kb/s
+    const double reference_ns = time_ns([&] {
+      const dsp::Real carrier = dsp::estimate_tone_frequency(
+          capture, fs, rc.carrier_search_lo, rc.carrier_search_hi);
+      const dsp::ComplexSignal z =
+          dsp::filter_zero_phase(h, dsp::mix_down(capture, fs, carrier));
+      dsp::ComplexSignal zd;
+      for (std::size_t i = 0; i < z.size(); i += kM) zd.push_back(z[i]);
+      benchmark::DoNotOptimize(zd.data());
+    }, 0.2);
+    dsp::ComplexSignal zd;
+    const double fused_ns = time_ns([&] {
+      benchmark::DoNotOptimize(dsp::decimated_baseband(
+          capture, fs, rc.carrier_search_lo, rc.carrier_search_hi, h, kM, ws,
+          zd));
+    }, 0.2);
+    json.metric("front_end_reference_ms", 1e-6 * reference_ns);
+    json.metric("front_end_fused_ms", 1e-6 * fused_ns);
+    json.metric("front_end_speedup", reference_ns / fused_ns);
   }
 
   // Waveform-level uplink through the cached-resonator channel.

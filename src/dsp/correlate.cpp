@@ -9,7 +9,7 @@ namespace ecocap::dsp {
 
 Signal correlate_valid(std::span<const Real> x, std::span<const Real> h) {
   if (h.empty() || x.size() < h.size()) return {};
-  if (use_fft_convolution(x.size(), h.size())) {
+  if (use_fft_convolution(x.size(), h.size(), DirectForm::kSimdKernel)) {
     return correlate_valid_fft(x, h);
   }
   const std::size_t out_len = x.size() - h.size() + 1;

@@ -115,14 +115,22 @@ long fft_conv_min_taps_override() {
   return -1;
 }
 
-bool use_fft_convolution(std::size_t n, std::size_t m) {
+bool use_fft_convolution(std::size_t n, std::size_t m, DirectForm direct) {
   if (n == 0 || m == 0) return false;
   if (const long forced = fft_conv_min_taps_override(); forced >= 0) {
     return m >= static_cast<std::size_t>(forced);
   }
   // Tiny kernels never win: the transform bookkeeping dominates.
   if (m <= 16 || n < 64) return false;
-  const double direct_ops = 2.0 * static_cast<double>(n) * static_cast<double>(m);
+  // Two ops per multiply-add for the scalar loops, which run at about the
+  // FFT path's time per modelled op (~0.3 ns on AVX2 hosts). The SIMD
+  // correlation kernel measured 4-8x less per op (bench_micro_dsp
+  // correlate_frame_search_*: 0.08 vs 0.15 ms at the receiver's 1549 x 387
+  // frame search); 5 puts every shape the decoder and tests run on the
+  // faster side.
+  constexpr double kSimdKernelSpeedup = 5.0;
+  double direct_ops = 2.0 * static_cast<double>(n) * static_cast<double>(m);
+  if (direct == DirectForm::kSimdKernel) direct_ops /= kSimdKernelSpeedup;
   return fft_cost_estimate(n, m) < direct_ops;
 }
 

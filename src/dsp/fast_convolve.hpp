@@ -27,9 +27,23 @@ namespace ecocap::dsp {
 /// a stderr note naming it (once per distinct value).
 long fft_conv_min_taps_override();
 
+/// The direct form a dispatch falls back to.
+enum class DirectForm {
+  /// The plain scalar loops (convolve_full_direct, the complex
+  /// filter_zero_phase): about as fast per multiply-add as the FFT path is
+  /// per modelled op.
+  kLoop,
+  /// The dispatched kernels::correlate_valid behind correlate_valid and
+  /// FirFilter::process, ~5x faster per tap than the loops (AVX2).
+  kSimdKernel,
+};
+
 /// Cost-model dispatch: true when the overlap-save FFT path is estimated
-/// cheaper than the direct form for an x-length-n signal and m-tap kernel.
-bool use_fft_convolution(std::size_t n, std::size_t m);
+/// cheaper than the given direct form for an x-length-n signal and m-tap
+/// kernel. The model depends only on the sizes, never on the host, so
+/// every host takes the same path and produces the same bits.
+bool use_fft_convolution(std::size_t n, std::size_t m,
+                         DirectForm direct = DirectForm::kLoop);
 
 /// Full linear convolution y[k] = sum_j h[j]·x[k-j], k in [0, n+m-1).
 /// Empty x or h yields an empty result. Dispatches direct vs FFT.

@@ -35,6 +35,22 @@ std::size_t peak_bin_in_band(std::span<const Real> spectrum,
 Real estimate_tone_frequency(std::span<const Real> x, Real fs, Real f_lo,
                              Real f_hi);
 
+/// The same estimate with the transform buffer supplied by the caller
+/// (replaced by the spectrum), so a pooled decoder allocates nothing.
+Real estimate_tone_frequency(std::span<const Real> x, Real fs, Real f_lo,
+                             Real f_hi, ComplexSignal& spectrum);
+
+/// The value estimate_tone_frequency(x, fs, f_lo, f_hi) returns, without
+/// the whole-window FFT: |X[k]| of the same N-point bins is evaluated
+/// (Goertzel, one pass) only at the bin nearest `f_guess` and its
+/// neighbours, walking uphill to the local maximum inside the band, and
+/// refined by the same parabolic formula. It equals the full estimator
+/// whenever that local maximum is the in-band peak, i.e. when `f_guess`
+/// lies on the peak's main lobe. A band touching DC or Nyquist falls back
+/// to the full estimator.
+Real refine_tone_frequency(std::span<const Real> x, Real fs, Real f_lo,
+                           Real f_hi, Real f_guess);
+
 /// Band power: sum of |X(f)|^2 over [f_lo, f_hi] divided by FFT length, for a
 /// real input signal. Used for SNR-in-band measurements and the Fig. 24
 /// spectrum analysis.

@@ -109,7 +109,8 @@ Signal FirFilter::process(std::span<const Real> x) {
   std::copy(x.begin(), x.end(),
             scratch_.begin() + static_cast<std::ptrdiff_t>(m - 1));
   Signal out;
-  if (x.size() >= m && use_fft_convolution(x.size(), m)) {
+  if (x.size() >= m &&
+      use_fft_convolution(x.size(), m, DirectForm::kSimdKernel)) {
     const Signal full = convolve_full_fft(scratch_, coeff_);
     out.assign(full.begin() + static_cast<std::ptrdiff_t>(m - 1),
                full.begin() + static_cast<std::ptrdiff_t>(m - 1 + x.size()));

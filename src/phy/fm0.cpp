@@ -125,16 +125,10 @@ Bits fm0_decode(std::span<const Real> x, Real samples_per_bit,
   return (paths[0].metric > paths[1].metric) ? paths[0].bits : paths[1].bits;
 }
 
-namespace {
-
-/// Shared frame-decode body; the template waveform is caller-owned (fresh
-/// or pooled), so both entry points align and slice identically.
-Fm0FrameDecode decode_frame_with_template(std::span<const Real> x,
-                                          const Fm0Params& params, Real fs,
-                                          std::size_t payload_bits,
-                                          Real min_corr,
-                                          std::span<const Real> tmpl,
-                                          std::size_t preamble_bits) {
+Fm0FrameDecode fm0_decode_frame(std::span<const Real> x,
+                                std::span<const Real> tmpl,
+                                const Fm0Params& params, Real fs,
+                                std::size_t payload_bits, Real min_corr) {
   Fm0FrameDecode out;
   if (x.size() < tmpl.size()) return out;
 
@@ -157,35 +151,21 @@ Fm0FrameDecode decode_frame_with_template(std::span<const Real> x,
   if (std::abs(corr) < min_corr) return out;
 
   const Real spb = fs / params.bitrate;
+  const auto preamble_bits =
+      static_cast<Real>(fm0_preamble(params).size());
   const std::size_t payload_start =
-      start + static_cast<std::size_t>(
-                  std::llround(spb * static_cast<Real>(preamble_bits)));
+      start + static_cast<std::size_t>(std::llround(spb * preamble_bits));
   if (payload_start >= x.size()) return out;
   const std::span<const Real> rest = x.subspan(payload_start);
   out.payload = fm0_decode(rest, spb, payload_bits);
   return out;
 }
 
-}  // namespace
-
 Fm0FrameDecode fm0_decode_frame(std::span<const Real> x,
                                 const Fm0Params& params, Real fs,
                                 std::size_t payload_bits, Real min_corr) {
-  const Bits pre = fm0_preamble(params);
-  const Signal tmpl = fm0_encode(pre, fs, params.bitrate);
-  return decode_frame_with_template(x, params, fs, payload_bits, min_corr,
-                                    tmpl, pre.size());
-}
-
-Fm0FrameDecode fm0_decode_frame(std::span<const Real> x,
-                                const Fm0Params& params, Real fs,
-                                std::size_t payload_bits, Real min_corr,
-                                dsp::Workspace& ws) {
-  const Bits pre = fm0_preamble(params);
-  auto tmpl = ws.real(0);
-  fm0_encode(pre, fs, params.bitrate, 1.0, *tmpl);
-  return decode_frame_with_template(x, params, fs, payload_bits, min_corr,
-                                    *tmpl, pre.size());
+  const Signal tmpl = fm0_encode(fm0_preamble(params), fs, params.bitrate);
+  return fm0_decode_frame(x, tmpl, params, fs, payload_bits, min_corr);
 }
 
 }  // namespace ecocap::phy

@@ -3,7 +3,6 @@
 #include <span>
 
 #include "dsp/types.hpp"
-#include "dsp/workspace.hpp"
 #include "phy/bits.hpp"
 
 namespace ecocap::phy {
@@ -71,12 +70,13 @@ Fm0FrameDecode fm0_decode_frame(std::span<const Real> x,
                                 std::size_t payload_bits,
                                 Real min_corr = 0.5);
 
-/// Workspace-backed frame decode: the preamble template comes from a pooled
-/// buffer and the aligned segment is compared in place (a subspan of x), so
-/// the per-call scratch of the receiver's subcarrier phase sweep is reused.
+/// Frame decode against a caller-encoded preamble waveform
+/// (fm0_encode(fm0_preamble(params), fs, params.bitrate)), so a caller that
+/// searches several candidate basebands — the receiver's subcarrier phase
+/// sweep — encodes it once.
 Fm0FrameDecode fm0_decode_frame(std::span<const Real> x,
+                                std::span<const Real> preamble_wave,
                                 const Fm0Params& params, Real fs,
-                                std::size_t payload_bits, Real min_corr,
-                                dsp::Workspace& ws);
+                                std::size_t payload_bits, Real min_corr);
 
 }  // namespace ecocap::phy

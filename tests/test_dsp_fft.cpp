@@ -84,6 +84,31 @@ TEST(Fft, ToneEstimatorMatchesFullSpectrumSearch) {
   }
 }
 
+TEST(Fft, RefineFromGuessMatchesWholeWindowEstimator) {
+  // Goertzel bins around a guess on the peak's main lobe reproduce the
+  // FFT estimator; bands at DC, reaching Nyquist or empty fall back to it.
+  Rng rng(23);
+  for (const std::size_t len : {100UL, 3000UL, 52000UL}) {
+    Signal x = tone(kFs, 231.37e3, len, 1.0);
+    add_awgn(x, 0.3, rng);
+    const Real expected = estimate_tone_frequency(x, kFs, 150.0e3, 300.0e3);
+    const Real bin =
+        kFs / static_cast<Real>(next_pow2(std::max<std::size_t>(len, 1024)));
+    for (const Real offset : {-1.4, -0.5, 0.0, 0.6, 1.3}) {
+      EXPECT_NEAR(refine_tone_frequency(x, kFs, 150.0e3, 300.0e3,
+                                        231.37e3 + offset * bin),
+                  expected, 1e-6)
+          << len << " offset " << offset;
+    }
+    for (const auto& [lo, hi] : {std::pair{0.0, 50.0e3}, {400.0e3, 500.0e3},
+                                {300.0e3, 150.0e3}}) {
+      EXPECT_EQ(refine_tone_frequency(x, kFs, lo, hi, 231.37e3),
+                estimate_tone_frequency(x, kFs, lo, hi))
+          << len << " [" << lo << ", " << hi << "]";
+    }
+  }
+}
+
 TEST(Fft, BandPowerCapturesTone) {
   Signal x = tone(kFs, 100.0e3, 32768, 2.0);  // power = 2.0
   const Real in_band = band_power(x, kFs, 90.0e3, 110.0e3);

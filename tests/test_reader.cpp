@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "dsp/correlate.hpp"
@@ -160,6 +161,42 @@ TEST(Receiver, RejectsNoiseOnlyCapture) {
   Receiver receiver(rcfg);
   const UplinkDecode dec = receiver.decode(rx, 32);
   EXPECT_FALSE(dec.valid);
+}
+
+TEST(Receiver, CarrierEstimateEqualsWholeWindowEstimator) {
+  // The decoder finds its carrier from a prefix FFT, the residual tone of
+  // the decimated baseband and a few Goertzel bins; the value must be the
+  // whole-window estimator's. Sweep tones over the search band, bin-centred
+  // and half-bin for each window's transform length, under a strong SI
+  // line, +-BLF sidebands and AWGN, across window lengths below, at and
+  // above the coarse prefix.
+  ReceiverConfig rcfg;
+  const Real fs = rcfg.fs;
+  const Receiver receiver(rcfg);
+  dsp::Workspace ws;
+  dsp::Rng rng(21);
+  for (const std::size_t n : {100UL, 16384UL, 16385UL, 52000UL, 144000UL}) {
+    const Real bin = fs / static_cast<Real>(
+                              dsp::next_pow2(std::max<std::size_t>(n, 1024)));
+    const Real k_mid = std::round(230.0e3 / bin);
+    for (const Real f : {std::ceil(151.0e3 / bin) * bin, k_mid * bin,
+                         (k_mid + 0.5) * bin, 187654.3,
+                         (std::floor(298.0e3 / bin) - 0.5) * bin}) {
+      dsp::Signal rx(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const Real t = static_cast<Real>(i) / fs;
+        rx[i] = 3.0 * std::cos(dsp::kTwoPi * f * t + 1.1) +
+                0.3 * std::cos(dsp::kTwoPi * (f + rcfg.blf) * t) +
+                0.3 * std::cos(dsp::kTwoPi * (f - rcfg.blf) * t + 0.5);
+      }
+      dsp::add_awgn(rx, 0.2, rng);
+      const Real expected = dsp::estimate_tone_frequency(
+          rx, fs, rcfg.carrier_search_lo, rcfg.carrier_search_hi);
+      EXPECT_NEAR(receiver.decode(rx, 32, ws).carrier_estimate, expected,
+                  1e-6)
+          << "n=" << n << " f=" << f;
+    }
+  }
 }
 
 TEST(Receiver, EmptyCapture) {
