@@ -1,5 +1,6 @@
 #include "dsp/goertzel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,14 +9,38 @@ namespace ecocap::dsp {
 Real goertzel_power(std::span<const Real> x, Real fs, Real f) {
   if (x.empty()) return 0.0;
   const Real w = kTwoPi * f / fs;
-  const Real coeff = 2.0 * std::cos(w);
-  Real s1 = 0.0, s2 = 0.0;
-  for (Real v : x) {
-    const Real s0 = v + coeff * s1 - s2;
-    s2 = s1;
-    s1 = s0;
+  Real p = 0.0;
+  goertzel_powers(x, std::span<const Real>(&w, 1), std::span<Real>(&p, 1));
+  return p;
+}
+
+void goertzel_powers(std::span<const Real> x, std::span<const Real> omega,
+                     std::span<Real> out) {
+  if (out.size() != omega.size()) {
+    throw std::invalid_argument("goertzel_powers: size mismatch");
   }
-  return s1 * s1 + s2 * s2 - coeff * s1 * s2;
+  // Three independent recurrences per pass: each one is latency-bound, so
+  // the extra two ride along almost free.
+  constexpr std::size_t kLanes = 3;
+  for (std::size_t j0 = 0; j0 < omega.size(); j0 += kLanes) {
+    const std::size_t lanes = std::min(kLanes, omega.size() - j0);
+    Real coeff[kLanes] = {0.0, 0.0, 0.0};
+    Real s1[kLanes] = {0.0, 0.0, 0.0};
+    Real s2[kLanes] = {0.0, 0.0, 0.0};
+    for (std::size_t j = 0; j < lanes; ++j) {
+      coeff[j] = 2.0 * std::cos(omega[j0 + j]);
+    }
+    for (const Real v : x) {
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        const Real s0 = v + coeff[j] * s1[j] - s2[j];
+        s2[j] = s1[j];
+        s1[j] = s0;
+      }
+    }
+    for (std::size_t j = 0; j < lanes; ++j) {
+      out[j0 + j] = s1[j] * s1[j] + s2[j] * s2[j] - coeff[j] * s1[j] * s2[j];
+    }
+  }
 }
 
 Goertzel::Goertzel(Real fs, Real f, std::size_t block_size)

@@ -13,6 +13,13 @@ namespace ecocap::dsp {
 /// Returns the squared magnitude of the DFT bin nearest `f` over the block.
 Real goertzel_power(std::span<const Real> x, Real fs, Real f);
 
+/// Squared magnitudes |sum_i x[i] e^{-i w_j i}|^2 at several angular
+/// frequencies w_j (radians per sample) — out[j] for omega[j] — with the
+/// recurrences run three abreast per pass over x, so a few neighbouring
+/// bins cost about one. `out.size()` must equal `omega.size()`.
+void goertzel_powers(std::span<const Real> x, std::span<const Real> omega,
+                     std::span<Real> out);
+
 /// Streaming Goertzel over fixed-length blocks.
 class Goertzel {
  public:

@@ -263,6 +263,14 @@ TEST(FastConvolve, MinTapsEnvOverridesDispatch) {
   // Cost model: big jobs go FFT, tiny kernels stay direct.
   EXPECT_TRUE(use_fft_convolution(1 << 15, 129));
   EXPECT_FALSE(use_fft_convolution(1 << 15, 3));
+  // The receiver's frame search (decimated 64k-144k windows against the
+  // 387-sample preamble) runs faster on the SIMD kernel than on FFT; the
+  // scalar loops and long templates still go FFT.
+  for (const std::size_t n : {1033UL, 1549UL, 2323UL, 3226UL}) {
+    EXPECT_FALSE(use_fft_convolution(n, 387, DirectForm::kSimdKernel)) << n;
+    EXPECT_TRUE(use_fft_convolution(n, 387)) << n;
+  }
+  EXPECT_TRUE(use_fft_convolution(8000, 3000, DirectForm::kSimdKernel));
 }
 
 TEST(FastConvolve, InvalidMinTapsEnvIsNotedOnStderr) {
