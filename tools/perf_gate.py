@@ -16,7 +16,13 @@ micro_dsp — fails (exit 1) when a pinned speedup floor is violated:
     host — it comes from the generator, not from SIMD;
   * the 256^2 FDTD 4-thread step speedup is enforced only when the host
     exposes >= 4 hardware threads (hw_threads metric) — a 1-core container
-    cannot demonstrate thread scaling.
+    cannot demonstrate thread scaling;
+  * the receiver front-end speedup (front_end_speedup: the fused
+    mix/lowpass/decimate front end with its prefix-plus-Goertzel carrier
+    search vs the full-rate reference chain on a ~96k-sample capture) is
+    enforced on every host — it comes from computing 1/62 of the samples,
+    not from SIMD — and decode_valid must be 1 (that capture decoded to
+    the sent payload).
 
 fleet — gates the sharded fleet engine + telemetry serving layer:
 
@@ -33,9 +39,9 @@ stream — gates the clocked SPSC-ring streaming transceiver:
     threaded pipeline delivered byte-identical telemetry — again never
     skipped);
   * the real-time factor (simulated seconds per wall second of the daemon's
-    measured run) must be >= 1 when hw_threads >= 4: the streaming reader
-    keeps up with a live ADC at fs. Single-core containers are exempt from
-    the floor, not from determinism.
+    measured run) must be >= 2 when hw_threads >= 4: the streaming reader
+    keeps up with a live ADC at fs with margin. Single-core containers are
+    exempt from the floor, not from determinism.
 
 runtime — gates the self-healing fleet runtime (DaemonSupervisor):
 
@@ -82,6 +88,10 @@ KERNEL_FLOORS = {
 
 FDTD_THREAD_FLOOR = ("fdtd_256_step_speedup_4t", 1.1)
 
+# Receiver front end vs the full-rate reference chain on the ~96k-sample
+# default-system capture (measured ~10x on a 4-core AVX2 container).
+FRONT_END_FLOOR = ("front_end_speedup", 3.0)
+
 # Block channel noise vs the per-sample std::normal_distribution loop
 # (measured 2.2-2.5x). The win is the branchless engine and block polar
 # draws, not SIMD, so it is enforced on every host.
@@ -97,10 +107,12 @@ FLEET_SCALING_FLOOR_4T = 2.0
 FLEET_QUERIES_PER_SEC_FLOOR = 10_000.0
 FLEET_INGEST_UNDER_QUERY_FLOOR = 50_000.0
 
-# Streaming real-time factor floor: measured ~3x on a 1-core container in
-# Release, so >= 1 on a 4-thread CI runner leaves a wide margin while still
-# catching the pipeline falling off the real-time cliff.
-STREAM_RTF_FLOOR = 1.0
+# Streaming real-time factor floor (enforced on >= 4-thread hosts).
+# bench_stream's real_time_factor measured 4.7-4.9 before the decimating
+# receiver front end and 5.8-10 after it, on a 4-core container in
+# Release; 2 leaves a wide margin while catching the decoder or a stream
+# stage sliding back toward real time.
+STREAM_RTF_FLOOR = 2.0
 
 # Self-healing runtime ceilings (checked only on >= 4-thread hosts).
 # Recovery latency measured ~9 ms worst-case on a loaded 1-core container
@@ -164,8 +176,10 @@ def gate_micro_dsp(metrics, path, failures):
         print("perf_gate: scalar-only host (simd_isa=0); "
               "kernel speedup floors skipped")
 
-    key, floor = AWGN_FLOOR
-    check_floor(metrics, key, floor, failures, path)
+    for key, floor in (AWGN_FLOOR, FRONT_END_FLOOR):
+        check_floor(metrics, key, floor, failures, path)
+    check_flag(metrics, "decode_valid", failures, path,
+               "the default-system capture did not decode to its payload")
 
     hw_threads = metrics.get("hw_threads", 0)
     key, floor = FDTD_THREAD_FLOOR
@@ -174,7 +188,9 @@ def gate_micro_dsp(metrics, path, failures):
     else:
         print(f"perf_gate: only {hw_threads:.0f} hardware threads; "
               f"{key} floor skipped")
-    return sorted(KERNEL_FLOORS) + [AWGN_FLOOR[0], FDTD_THREAD_FLOOR[0]]
+    return sorted(KERNEL_FLOORS) + [
+        AWGN_FLOOR[0], FRONT_END_FLOOR[0], "decode_valid",
+        "decode_ms_per_window", FDTD_THREAD_FLOOR[0]]
 
 
 def gate_fleet(metrics, path, failures):
@@ -260,8 +276,9 @@ def list_floors() -> int:
     print("micro_dsp (BENCH_micro_dsp.json):")
     for key in sorted(KERNEL_FLOORS):
         print(f"  {key:32s} >= {KERNEL_FLOORS[key]:<6g} [simd_isa != 0]")
-    key, floor = AWGN_FLOOR
-    print(f"  {key:32s} >= {floor:<6g} [always]")
+    for key, floor in (AWGN_FLOOR, FRONT_END_FLOOR):
+        print(f"  {key:32s} >= {floor:<6g} [always]")
+    print(f"  {'decode_valid':32s} == 1      [always]")
     key, floor = FDTD_THREAD_FLOOR
     print(f"  {key:32s} >= {floor:<6g} [hw_threads >= 4]")
     print("fleet (BENCH_fleet.json):")
