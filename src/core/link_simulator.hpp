@@ -131,10 +131,6 @@ struct UplinkSweepResult {
   std::size_t decoded = 0;
   Real snr_db_sum = 0.0;  // over decoded trials only
 
-  Real decode_rate() const {
-    return trials ? static_cast<Real>(decoded) / static_cast<Real>(trials)
-                  : 0.0;
-  }
   Real mean_snr_db() const {
     return decoded ? snr_db_sum / static_cast<Real>(decoded) : 0.0;
   }

@@ -10,12 +10,6 @@ Firmware::Firmware(FirmwareConfig config, std::uint64_t seed)
   sensors_ = default_sensor_suite();
 }
 
-void Firmware::attach_sensor(std::unique_ptr<Sensor> sensor) {
-  sensors_.push_back(std::move(sensor));
-}
-
-void Firmware::clear_sensors() { sensors_.clear(); }
-
 void Firmware::power_on() {
   if (state_ == McuState::kOff) state_ = McuState::kStandby;
 }

@@ -65,11 +65,6 @@ class Firmware {
   bool selected() const { return selected_; }
   const FirmwareConfig& config() const { return config_; }
 
-  /// Attach a sensor (takes ownership). The default suite is attached by
-  /// default; tests may start from an empty set.
-  void attach_sensor(std::unique_ptr<Sensor> sensor);
-  void clear_sensors();
-
   /// Power events from the harvester.
   void power_on();   // cold start finished -> standby
   void power_off();  // brown-out -> off, state lost

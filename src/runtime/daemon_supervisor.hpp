@@ -111,11 +111,6 @@ struct RuntimeStats {
     for (const auto& d : daemons) n += d.restarts;
     return n;
   }
-  std::uint64_t total_events_pushed() const {
-    std::uint64_t n = 0;
-    for (const auto& d : daemons) n += d.events_pushed;
-    return n;
-  }
   std::uint64_t total_events_dropped() const {
     std::uint64_t n = 0;
     for (const auto& d : daemons) n += d.events_dropped;
