@@ -1,8 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths that the Monte
-// Carlo experiment harnesses lean on: FFT, FIR filtering (direct vs the
-// overlap-save FFT path), correlation, zero-phase filtering, FM0 Viterbi
-// decode, the envelope detector, the waveform-level concrete channel, and
-// threaded FDTD stepping.
+// Carlo experiment harnesses lean on: FFT, correlation (direct vs the
+// overlap-save FFT path), FM0 Viterbi decode, the envelope detector, the
+// waveform-level concrete channel, and threaded FDTD stepping.
 //
 // Besides the google-benchmark table, main() times the headline
 // direct-vs-FFT and 1-vs-N-thread comparisons with a plain chrono loop and
@@ -51,46 +50,6 @@ static void BM_Fft(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_Fft)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 17);
-
-static void BM_FirFilterScalar(benchmark::State& state) {
-  // The seed's per-sample delay-line path (also today's direct fallback).
-  const dsp::Signal h = dsp::design_lowpass(1.0e6, 50.0e3, 129);
-  const dsp::Signal x = dsp::tone(1.0e6, 30.0e3, 1 << 15, 1.0);
-  dsp::FirFilter f(h);
-  for (auto _ : state) {
-    dsp::Signal out(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) out[i] = f.process(x[i]);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(x.size()));
-}
-BENCHMARK(BM_FirFilterScalar);
-
-static void BM_FirFilter(benchmark::State& state) {
-  // Batch path: dispatches to overlap-save FFT convolution at this size.
-  const dsp::Signal h = dsp::design_lowpass(1.0e6, 50.0e3, 129);
-  const dsp::Signal x = dsp::tone(1.0e6, 30.0e3, 1 << 15, 1.0);
-  dsp::FirFilter f(h);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.process(x));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(x.size()));
-}
-BENCHMARK(BM_FirFilter);
-
-static void BM_FilterZeroPhase(benchmark::State& state) {
-  const auto taps = static_cast<std::size_t>(state.range(0));
-  const dsp::Signal h = dsp::design_lowpass(1.0e6, 50.0e3, taps);
-  const dsp::Signal x = dsp::tone(1.0e6, 30.0e3, 1 << 15, 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::filter_zero_phase(h, x));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(x.size()));
-}
-BENCHMARK(BM_FilterZeroPhase)->Arg(15)->Arg(129)->Arg(513);
 
 static void BM_CorrelateDirect(benchmark::State& state) {
   const dsp::Signal x = dsp::tone(1.0e6, 30.0e3, 1 << 15, 1.0);
@@ -281,9 +240,9 @@ void record_roofline_metrics(ecocap::bench::BenchJson& json) {
     per_elem("dot", seed_ns, simd_ns, 4096.0, 16.0, 2.0);
   }
 
-  // FIR direct path: 129 reversed taps slid over 8k samples — the
-  // FirFilter batch shape below the FFT-dispatch threshold. One "element"
-  // is one multiply-accumulate lane crossing, out_len * taps of them.
+  // FIR direct path: a 129-tap low-pass slid over 8k samples. One
+  // "element" is one multiply-accumulate lane crossing, out_len * taps of
+  // them.
   {
     const dsp::Signal x = dsp::tone(1.0e6, 30.0e3, 8192, 1.0);
     const dsp::Signal h = dsp::design_lowpass(1.0e6, 50.0e3, 129);
@@ -516,41 +475,6 @@ void record_roofline_metrics(ecocap::bench::BenchJson& json) {
 /// trajectory. These are the acceptance numbers: the google-benchmark table
 /// above is for humans, this block is for machines.
 void record_headline_metrics(ecocap::bench::BenchJson& json) {
-  // 129-tap FIR over a 32k buffer: seed per-sample delay line vs the
-  // overlap-save FFT batch path.
-  {
-    const dsp::Signal h = dsp::design_lowpass(1.0e6, 50.0e3, 129);
-    const dsp::Signal x = dsp::tone(1.0e6, 30.0e3, 1 << 15, 1.0);
-    dsp::FirFilter scalar_f(h);
-    const double direct_ns = time_ns([&] {
-      dsp::Signal out(x.size());
-      for (std::size_t i = 0; i < x.size(); ++i) out[i] = scalar_f.process(x[i]);
-      benchmark::DoNotOptimize(out);
-    });
-    dsp::FirFilter batch_f(h);
-    const double fft_ns = time_ns([&] {
-      benchmark::DoNotOptimize(batch_f.process(x));
-    });
-    json.metric("fir_129tap_32k_direct_ns", direct_ns);
-    json.metric("fir_129tap_32k_fft_ns", fft_ns);
-    json.metric("fir_129tap_32k_speedup", direct_ns / fft_ns);
-  }
-
-  // Zero-phase filtering, same design point.
-  {
-    const dsp::Signal h = dsp::design_lowpass(1.0e6, 50.0e3, 129);
-    const dsp::Signal x = dsp::tone(1.0e6, 30.0e3, 1 << 15, 1.0);
-    const double direct_ns = time_ns([&] {
-      benchmark::DoNotOptimize(dsp::convolve_full_direct(x, h));
-    });
-    const double fft_ns = time_ns([&] {
-      benchmark::DoNotOptimize(dsp::filter_zero_phase(h, x));
-    });
-    json.metric("zero_phase_129tap_32k_direct_ns", direct_ns);
-    json.metric("zero_phase_129tap_32k_fft_ns", fft_ns);
-    json.metric("zero_phase_129tap_32k_speedup", direct_ns / fft_ns);
-  }
-
   // Valid correlation of a 512-sample template against a 32k capture (the
   // FM0 preamble search shape).
   {
@@ -593,18 +517,16 @@ void record_headline_metrics(ecocap::bench::BenchJson& json) {
       benchmark::DoNotOptimize(dsp::correlate_valid_fft(x, h));
     }));
     json.metric("correlate_frame_search_uses_fft",
-                dsp::use_fft_convolution(x.size(), h.size(),
-                                         dsp::DirectForm::kSimdKernel)
-                    ? 1.0
-                    : 0.0);
+                dsp::use_fft_convolution(x.size(), h.size()) ? 1.0 : 0.0);
   }
 
   // Receiver::decode on a default-system uplink capture: a 32-bit FM0
   // frame at the default 1 kb/s and 4 kHz BLF, reflected by the node and
   // carried back by the default channel (~96k samples at 2 MHz). The front
-  // end is then timed against the full-rate reference chain it replaced:
-  // estimate_tone_frequency over the whole window, mix_down, complex
-  // filter_zero_phase, every m-th sample kept.
+  // end is then timed against the full-rate chain it replaced:
+  // estimate_tone_frequency over the whole window, then the mixer and
+  // low-pass at every sample (mix_lowpass_decimate at factor 1), every
+  // m-th sample kept.
   {
     const core::SystemConfig cfg = core::default_system();
     const dsp::Real fs = cfg.channel.fs;
@@ -644,8 +566,8 @@ void record_headline_metrics(ecocap::bench::BenchJson& json) {
     const double reference_ns = time_ns([&] {
       const dsp::Real carrier = dsp::estimate_tone_frequency(
           capture, fs, rc.carrier_search_lo, rc.carrier_search_hi);
-      const dsp::ComplexSignal z =
-          dsp::filter_zero_phase(h, dsp::mix_down(capture, fs, carrier));
+      dsp::ComplexSignal z;
+      dsp::mix_lowpass_decimate(capture, fs, carrier, h, 1, z);
       dsp::ComplexSignal zd;
       for (std::size_t i = 0; i < z.size(); i += kM) zd.push_back(z[i]);
       benchmark::DoNotOptimize(zd.data());

@@ -9,7 +9,7 @@ namespace ecocap::dsp {
 
 Signal correlate_valid(std::span<const Real> x, std::span<const Real> h) {
   if (h.empty() || x.size() < h.size()) return {};
-  if (use_fft_convolution(x.size(), h.size(), DirectForm::kSimdKernel)) {
+  if (use_fft_convolution(x.size(), h.size())) {
     return correlate_valid_fft(x, h);
   }
   const std::size_t out_len = x.size() - h.size() + 1;
@@ -46,23 +46,12 @@ Real correlation_coefficient(std::span<const Real> a,
 }
 
 ComplexSignal mix_down(std::span<const Real> x, Real fs, Real f0) {
-  ComplexSignal out;
-  mix_down(x, fs, f0, out);
-  return out;
-}
-
-void mix_down(std::span<const Real> x, Real fs, Real f0, ComplexSignal& out) {
-  out.resize(x.size());
+  ComplexSignal out(x.size());
   const Real step = kTwoPi * f0 / fs;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const Real ph = step * static_cast<Real>(i);
     out[i] = x[i] * Complex(std::cos(ph), -std::sin(ph));
   }
-}
-
-Signal complex_magnitude(const ComplexSignal& x) {
-  Signal out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::abs(x[i]);
   return out;
 }
 

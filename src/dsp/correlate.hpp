@@ -20,14 +20,8 @@ std::size_t best_alignment(std::span<const Real> x, std::span<const Real> h);
 Real correlation_coefficient(std::span<const Real> a, std::span<const Real> b);
 
 /// Digital downconversion: multiply the real passband signal by a complex
-/// exponential at -f0 and low-pass the result. The caller low-passes; this
-/// routine only mixes.
+/// exponential at -f0, without low-pass. mix_lowpass_decimate folds this
+/// mixer into its filter; tests use it as the reference.
 ComplexSignal mix_down(std::span<const Real> x, Real fs, Real f0);
-
-/// Mix into a caller-provided buffer (resized to match).
-void mix_down(std::span<const Real> x, Real fs, Real f0, ComplexSignal& out);
-
-/// Magnitude of a complex baseband signal.
-Signal complex_magnitude(const ComplexSignal& x);
 
 }  // namespace ecocap::dsp

@@ -6,25 +6,9 @@
 #include <vector>
 
 #include "dsp/fft.hpp"
-#include "dsp/fir.hpp"
 #include "dsp/kernels/kernels.hpp"
 
 namespace ecocap::dsp {
-
-Signal decimate(std::span<const Real> x, Real fs, std::size_t factor,
-                std::size_t taps) {
-  if (factor == 0) throw std::invalid_argument("decimate: factor must be > 0");
-  if (factor == 1) return Signal(x.begin(), x.end());
-  const Real new_nyquist = fs / (2.0 * static_cast<Real>(factor));
-  const Signal h = design_lowpass(fs, 0.8 * new_nyquist, taps);
-  const Signal filtered = filter_zero_phase(h, x);
-  Signal out;
-  out.reserve(filtered.size() / factor + 1);
-  for (std::size_t i = 0; i < filtered.size(); i += factor) {
-    out.push_back(filtered[i]);
-  }
-  return out;
-}
 
 void mix_lowpass_decimate(std::span<const Real> x, Real fs, Real f0,
                           std::span<const Real> h, std::size_t factor,
@@ -132,22 +116,6 @@ Real decimated_baseband(std::span<const Real> x, Real fs, Real f_lo,
   const Real carrier = refine_tone_frequency(x, fs, f_lo, f_hi, fine);
   if (carrier != coarse) mix_lowpass_decimate(x, fs, carrier, h, factor, out);
   return carrier;
-}
-
-Signal moving_average(std::span<const Real> x, std::size_t window) {
-  if (window == 0) throw std::invalid_argument("moving_average: empty window");
-  if (window % 2 == 0) ++window;
-  const std::size_t half = window / 2;
-  Signal out(x.size(), 0.0);
-  // Prefix sums for O(n).
-  std::vector<Real> prefix(x.size() + 1, 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i) prefix[i + 1] = prefix[i] + x[i];
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::size_t lo = (i >= half) ? i - half : 0;
-    const std::size_t hi = std::min(x.size() - 1, i + half);
-    out[i] = (prefix[hi + 1] - prefix[lo]) / static_cast<Real>(hi - lo + 1);
-  }
-  return out;
 }
 
 }  // namespace ecocap::dsp

@@ -7,17 +7,12 @@
 
 namespace ecocap::dsp {
 
-/// Anti-aliased decimation by an integer factor: low-pass at 0.8 * new
-/// Nyquist with a windowed-sinc FIR, then keep every `factor`-th sample.
-/// Factor 1 returns a copy.
-Signal decimate(std::span<const Real> x, Real fs, std::size_t factor,
-                std::size_t taps = 127);
-
 /// Digital downconversion, zero-phase low-pass and decimation in one pass:
-/// out[j] = y[j * factor] for j < ceil(x.size() / factor), where
-/// y = filter_zero_phase(h, mix_down(x, fs, f0)) — the same sums to
-/// rounding, but only the kept outputs are evaluated and nothing full-rate
-/// is built. The mixer folds into the filter: with d = (taps - 1) / 2,
+/// out[j] = y[j * factor] for j < ceil(x.size() / factor), where y is
+/// mix_down(x, fs, f0) convolved with h and advanced by its group delay
+/// (taps - 1) / 2 — the same sums to rounding, but only the kept outputs
+/// are evaluated and nothing full-rate is built. The mixer folds into the
+/// filter: with d = (taps - 1) / 2,
 ///   y[t] = e^{-i w t} * sum_u g[u] x[t + u],  g[u] = h[d - u] e^{-i w u},
 /// g is computed once per call, and each kept output costs two real dot
 /// products (the SIMD kernel) and one rotation. `h` must be odd-length;
@@ -43,9 +38,5 @@ Real decimated_baseband(std::span<const Real> x, Real fs, Real f_lo,
                         Real f_hi, std::span<const Real> h,
                         std::size_t factor, Workspace& ws,
                         ComplexSignal& out);
-
-/// Moving-average smoother (box filter) with the given odd window length,
-/// zero-phase. Handy for envelope post-processing and SHM series smoothing.
-Signal moving_average(std::span<const Real> x, std::size_t window);
 
 }  // namespace ecocap::dsp

@@ -20,10 +20,8 @@ std::size_t mix(std::size_t seed, std::uint64_t v) {
 }  // namespace
 
 std::size_t FilterCache::FirKeyHash::operator()(const FirKey& k) const {
-  std::size_t h = mix(0, (static_cast<std::uint64_t>(k.kind) << 8) | k.window);
-  h = mix(h, k.fs_bits);
-  h = mix(h, k.f_lo_bits);
-  h = mix(h, k.f_hi_bits);
+  std::size_t h = mix(0, k.fs_bits);
+  h = mix(h, k.cutoff_bits);
   h = mix(h, k.taps);
   return h;
 }
@@ -40,63 +38,18 @@ FilterCache& FilterCache::shared() {
   return cache;
 }
 
-std::shared_ptr<const Signal> FilterCache::fir(FirKind kind, Real fs, Real f_lo,
-                                               Real f_hi, std::size_t taps,
-                                               WindowKind window) {
-  const FirKey key{static_cast<std::uint8_t>(kind),
-                   static_cast<std::uint8_t>(window),
-                   bits(fs),
-                   bits(f_lo),
-                   bits(f_hi),
-                   static_cast<std::uint64_t>(taps)};
+std::shared_ptr<const Signal> FilterCache::lowpass(Real fs, Real cutoff,
+                                                   std::size_t taps) {
+  const FirKey key{bits(fs), bits(cutoff), static_cast<std::uint64_t>(taps)};
   {
     std::shared_lock lock(mutex_);
     if (auto it = fir_.find(key); it != fir_.end()) return it->second;
   }
   std::unique_lock lock(mutex_);
   if (auto it = fir_.find(key); it != fir_.end()) return it->second;
-  Signal h;
-  switch (kind) {
-    case FirKind::kLowpass:
-      h = design_lowpass(fs, f_lo, taps, window);
-      break;
-    case FirKind::kHighpass:
-      h = design_highpass(fs, f_lo, taps, window);
-      break;
-    case FirKind::kBandpass:
-      h = design_bandpass(fs, f_lo, f_hi, taps, window);
-      break;
-    case FirKind::kBandstop:
-      h = design_bandstop(fs, f_lo, f_hi, taps, window);
-      break;
-  }
-  auto entry = std::make_shared<const Signal>(std::move(h));
+  auto entry = std::make_shared<const Signal>(design_lowpass(fs, cutoff, taps));
   fir_.emplace(key, entry);
   return entry;
-}
-
-std::shared_ptr<const Signal> FilterCache::lowpass(Real fs, Real cutoff,
-                                                   std::size_t taps,
-                                                   WindowKind window) {
-  return fir(FirKind::kLowpass, fs, cutoff, 0.0, taps, window);
-}
-
-std::shared_ptr<const Signal> FilterCache::highpass(Real fs, Real cutoff,
-                                                    std::size_t taps,
-                                                    WindowKind window) {
-  return fir(FirKind::kHighpass, fs, cutoff, 0.0, taps, window);
-}
-
-std::shared_ptr<const Signal> FilterCache::bandpass(Real fs, Real f_lo,
-                                                    Real f_hi, std::size_t taps,
-                                                    WindowKind window) {
-  return fir(FirKind::kBandpass, fs, f_lo, f_hi, taps, window);
-}
-
-std::shared_ptr<const Signal> FilterCache::bandstop(Real fs, Real f_lo,
-                                                    Real f_hi, std::size_t taps,
-                                                    WindowKind window) {
-  return fir(FirKind::kBandstop, fs, f_lo, f_hi, taps, window);
 }
 
 std::shared_ptr<const FilterCache::ResonatorDesign>

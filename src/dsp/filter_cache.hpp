@@ -9,7 +9,6 @@
 #include "dsp/biquad.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/types.hpp"
-#include "dsp/window.hpp"
 
 namespace ecocap::dsp {
 
@@ -26,14 +25,6 @@ namespace ecocap::dsp {
 /// the identical filter.
 class FilterCache {
  public:
-  /// FIR design families the cache can hold.
-  enum class FirKind : std::uint8_t {
-    kLowpass,
-    kHighpass,
-    kBandpass,
-    kBandstop
-  };
-
   /// A designed band-pass biquad plus its center-frequency magnitude (the
   /// normalization the ConcreteChannel resonance divides by). The stored
   /// prototype has zero state; copy it to filter.
@@ -45,18 +36,10 @@ class FilterCache {
   /// The process-wide instance shared by the receiver and channel layers.
   static FilterCache& shared();
 
-  /// Cached equivalents of the dsp design functions. The returned pointer
-  /// stays valid for the life of the process (entries are never evicted).
-  std::shared_ptr<const Signal> lowpass(Real fs, Real cutoff, std::size_t taps,
-                                        WindowKind window = WindowKind::kHamming);
-  std::shared_ptr<const Signal> highpass(Real fs, Real cutoff, std::size_t taps,
-                                         WindowKind window = WindowKind::kHamming);
-  std::shared_ptr<const Signal> bandpass(Real fs, Real f_lo, Real f_hi,
-                                         std::size_t taps,
-                                         WindowKind window = WindowKind::kHamming);
-  std::shared_ptr<const Signal> bandstop(Real fs, Real f_lo, Real f_hi,
-                                         std::size_t taps,
-                                         WindowKind window = WindowKind::kHamming);
+  /// Cached design_lowpass. The returned pointer stays valid for the life
+  /// of the process (entries are never evicted).
+  std::shared_ptr<const Signal> lowpass(Real fs, Real cutoff,
+                                        std::size_t taps);
 
   /// Cached constant-peak band-pass biquad with its precomputed
   /// center-frequency gain.
@@ -71,11 +54,8 @@ class FilterCache {
 
  private:
   struct FirKey {
-    std::uint8_t kind;
-    std::uint8_t window;
     std::uint64_t fs_bits;
-    std::uint64_t f_lo_bits;
-    std::uint64_t f_hi_bits;
+    std::uint64_t cutoff_bits;
     std::uint64_t taps;
     bool operator==(const FirKey&) const = default;
   };
@@ -91,9 +71,6 @@ class FilterCache {
   struct BiquadKeyHash {
     std::size_t operator()(const BiquadKey& k) const;
   };
-
-  std::shared_ptr<const Signal> fir(FirKind kind, Real fs, Real f_lo, Real f_hi,
-                                    std::size_t taps, WindowKind window);
 
   mutable std::shared_mutex mutex_;
   std::unordered_map<FirKey, std::shared_ptr<const Signal>, FirKeyHash> fir_;

@@ -1,60 +1,15 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "dsp/types.hpp"
-#include "dsp/window.hpp"
 
 namespace ecocap::dsp {
 
-/// Windowed-sinc low-pass FIR design.
+/// Hamming-windowed-sinc low-pass FIR design, normalized to unit DC gain.
 /// @param fs sample rate (Hz)
 /// @param cutoff -6 dB cutoff (Hz)
 /// @param taps number of coefficients (made odd internally for symmetry)
-Signal design_lowpass(Real fs, Real cutoff, std::size_t taps,
-                      WindowKind window = WindowKind::kHamming);
-
-/// Windowed-sinc high-pass FIR (spectral inversion of the low-pass).
-Signal design_highpass(Real fs, Real cutoff, std::size_t taps,
-                       WindowKind window = WindowKind::kHamming);
-
-/// Band-pass FIR between f_lo and f_hi (Hz).
-Signal design_bandpass(Real fs, Real f_lo, Real f_hi, std::size_t taps,
-                       WindowKind window = WindowKind::kHamming);
-
-/// Band-stop (notch) FIR rejecting [f_lo, f_hi]. Used by the reader to carve
-/// the continuous-body-wave self-interference out of the uplink band.
-Signal design_bandstop(Real fs, Real f_lo, Real f_hi, std::size_t taps,
-                       WindowKind window = WindowKind::kHamming);
-
-/// Streaming FIR filter with internal state; one instance per channel.
-class FirFilter {
- public:
-  explicit FirFilter(Signal coefficients);
-
-  /// Filter a single sample.
-  Real process(Real x);
-
-  /// Filter a whole buffer (stateful across calls).
-  Signal process(std::span<const Real> x);
-
-  /// Clear delay-line state.
-  void reset();
-
-  std::size_t tap_count() const { return coeff_.size(); }
-  const Signal& coefficients() const { return coeff_; }
-
- private:
-  Signal coeff_;
-  Signal coeff_rev_;  // reversed taps: batch output = correlate(in, coeff_rev_)
-  Signal delay_;
-  Signal scratch_;    // [history | batch] workspace for the direct path
-  std::size_t pos_ = 0;
-};
-
-/// Zero-phase convenience: filter a finite buffer and compensate the FIR
-/// group delay (taps-1)/2 so the output aligns with the input in time.
-Signal filter_zero_phase(const Signal& coefficients, std::span<const Real> x);
+Signal design_lowpass(Real fs, Real cutoff, std::size_t taps);
 
 }  // namespace ecocap::dsp

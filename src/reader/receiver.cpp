@@ -5,10 +5,7 @@
 #include <optional>
 
 #include "dsp/biquad.hpp"
-#include "dsp/correlate.hpp"
 #include "dsp/decimate.hpp"
-#include "dsp/fast_convolve.hpp"
-#include "dsp/fft.hpp"
 #include "dsp/filter_cache.hpp"
 #include "dsp/signal_ops.hpp"
 #include "phy/carrier.hpp"
@@ -148,12 +145,12 @@ std::optional<Real> decision_snr_db(std::span<const Real> demod,
 }  // namespace
 
 Signal Receiver::demodulated_baseband(std::span<const Real> rx) const {
-  // The full-rate reference chain the decoder's front end reproduces at
-  // the kept samples: whole-window carrier, mix, zero-phase low-pass.
-  const Real carrier = dsp::estimate_tone_frequency(
-      rx, config_.fs, config_.carrier_search_lo, config_.carrier_search_hi);
-  const dsp::ComplexSignal z = dsp::filter_zero_phase(
-      *lowpass(), dsp::mix_down(rx, config_.fs, carrier));
+  // The decoder's front end with every sample kept: the same carrier
+  // search, mixer and low-pass, then the same phase alignment.
+  dsp::Workspace ws;
+  dsp::ComplexSignal z;
+  dsp::decimated_baseband(rx, config_.fs, config_.carrier_search_lo,
+                          config_.carrier_search_hi, *lowpass(), 1, ws, z);
   Signal out;
   phase_align(z, out);
   return out;

@@ -61,7 +61,8 @@ class Receiver {
                       dsp::Workspace& ws) const;
 
   /// The demodulated bipolar baseband before FM0 slicing (diagnostics,
-  /// Fig. 22 reproduction).
+  /// Fig. 22 reproduction): decode's front end (carrier search, mixer and
+  /// low-pass, phase alignment) at decimation 1, without the DC block.
   Signal demodulated_baseband(std::span<const Real> rx) const;
 
   const ReceiverConfig& config() const { return config_; }

@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "dsp/correlate.hpp"
+#include "dsp/decimate.hpp"
 #include "dsp/fast_convolve.hpp"
 #include "dsp/filter_cache.hpp"
 #include "dsp/fir.hpp"
@@ -42,10 +42,10 @@ Real rms_error(std::span<const Real> a, std::span<const Real> b) {
 
 TEST(FastConvolve, EmptyInputsYieldEmpty) {
   const Signal x = random_signal(64, 1);
-  EXPECT_TRUE(convolve_full(Signal{}, x).empty());
-  EXPECT_TRUE(convolve_full(x, Signal{}).empty());
   EXPECT_TRUE(convolve_full_fft(Signal{}, x).empty());
+  EXPECT_TRUE(convolve_full_fft(x, Signal{}).empty());
   EXPECT_TRUE(convolve_full_direct(Signal{}, x).empty());
+  EXPECT_TRUE(convolve_full_direct(x, Signal{}).empty());
 }
 
 TEST(FastConvolve, ImpulseKernelReproducesSignal) {
@@ -105,86 +105,38 @@ TEST(FastConvolve, StepAndToneInputs) {
       kRmsTol);
 }
 
-TEST(FastConvolve, ComplexMatchesPerRail) {
-  const Signal h = design_lowpass(kFs, 50.0e3, 101);
-  const Signal re = random_signal(3000, 7);
-  const Signal im = random_signal(3000, 8);
-  ComplexSignal z(re.size());
-  for (std::size_t i = 0; i < z.size(); ++i) z[i] = Complex(re[i], im[i]);
-
-  const ComplexSignal zy = convolve_full_fft(std::span<const Complex>(z), h);
-  const Signal ry = convolve_full_direct(re, h);
-  const Signal iy = convolve_full_direct(im, h);
-  ASSERT_EQ(zy.size(), ry.size());
-  Real acc = 0.0;
-  for (std::size_t i = 0; i < zy.size(); ++i) {
-    acc += std::norm(zy[i] - Complex(ry[i], iy[i]));
-  }
-  EXPECT_LT(std::sqrt(acc / static_cast<Real>(zy.size())), kRmsTol);
-}
-
-TEST(FastConvolve, ZeroPhaseComplexAlignsWithReal) {
-  const Signal h = design_lowpass(kFs, 50.0e3, 101);
-  const Signal re = random_signal(5000, 11);
-  const Signal im = random_signal(5000, 12);
-  ComplexSignal z(re.size());
-  for (std::size_t i = 0; i < z.size(); ++i) z[i] = Complex(re[i], im[i]);
-
-  const ComplexSignal zy = filter_zero_phase(h, z);
-  const Signal ry = filter_zero_phase(h, re);
-  const Signal iy = filter_zero_phase(h, im);
-  ASSERT_EQ(zy.size(), z.size());
-  for (std::size_t i = 0; i < zy.size(); ++i) {
-    EXPECT_NEAR(zy[i].real(), ry[i], 1e-9);
-    EXPECT_NEAR(zy[i].imag(), iy[i], 1e-9);
-  }
-}
-
-TEST(FastConvolve, ZeroPhaseComplexIsTheSlicedFullConvolution) {
-  // filter_zero_phase writes the delay-sliced window straight into `out`;
-  // every sample must equal the full convolution's, bit for bit, on both
-  // the direct and the overlap-save path.
-  for (const std::size_t taps : {15UL, 101UL, 513UL}) {
-    const Signal h = design_lowpass(kFs, 50.0e3, taps);
-    for (const std::size_t n : {40UL, 3000UL, 20000UL}) {
-      const Signal re = random_signal(n, 31 + n);
-      const Signal im = random_signal(n, 32 + n);
-      ComplexSignal z(n);
-      for (std::size_t i = 0; i < n; ++i) z[i] = Complex(re[i], im[i]);
-      const ComplexSignal full = convolve_full(std::span<const Complex>(z), h);
-      const ComplexSignal got = filter_zero_phase(h, z);
-      ASSERT_EQ(got.size(), n);
-      const std::size_t delay = (taps - 1) / 2;
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i], full[delay + i]) << taps << " taps, n=" << n;
-      }
-    }
-  }
-}
-
-/// The seed's zero-phase implementation: stream through a FirFilter, feed
-/// `delay` trailing zeros, and realign. The rewritten single-pass version
-/// must reproduce it.
+/// The seed's zero-phase implementation: stream through a delay-line FIR,
+/// feed `delay` trailing zeros, and realign.
 Signal zero_phase_reference(const Signal& coefficients,
                             std::span<const Real> x) {
-  FirFilter f(coefficients);
   const std::size_t delay = (coefficients.size() - 1) / 2;
+  Signal line(coefficients.size(), 0.0);  // line[j] = input j samples ago
   Signal out(x.size(), 0.0);
   for (std::size_t i = 0; i < x.size() + delay; ++i) {
-    const Real in = (i < x.size()) ? x[i] : 0.0;
-    const Real y = f.process(in);
+    std::copy_backward(line.begin(), line.end() - 1, line.end());
+    line[0] = (i < x.size()) ? x[i] : 0.0;
+    Real y = 0.0;
+    for (std::size_t j = 0; j < line.size(); ++j) y += coefficients[j] * line[j];
     if (i >= delay) out[i - delay] = y;
   }
   return out;
 }
 
 TEST(FastConvolve, ZeroPhaseMatchesSeedReference) {
+  // The receiver's low-pass is mix_lowpass_decimate; with no mixing and no
+  // decimation it is the zero-phase filter and must reproduce the seed's.
   for (const std::size_t taps : {15UL, 101UL, 129UL}) {
     const Signal h = design_lowpass(kFs, 50.0e3, taps);
     const Signal x = random_signal(6000, taps);
     const Signal ref = zero_phase_reference(h, x);
-    const Signal got = filter_zero_phase(h, x);
-    ASSERT_EQ(ref.size(), got.size());
+    ComplexSignal z;
+    mix_lowpass_decimate(x, kFs, 0.0, h, 1, z);
+    ASSERT_EQ(z.size(), ref.size());
+    Signal got(z.size());
+    for (std::size_t i = 0; i < z.size(); ++i) {
+      got[i] = z[i].real();
+      ASSERT_EQ(z[i].imag(), 0.0) << i;
+    }
     EXPECT_LT(rms_error(ref, got), kRmsTol) << "taps=" << taps;
   }
 }
@@ -217,82 +169,23 @@ TEST(FastConvolve, CorrelateEdgeCases) {
   EXPECT_NEAR(c[0], energy(x), 1e-7);
 }
 
-TEST(FastConvolve, StreamingFirSplitAcrossCalls) {
-  // A batch big enough to take the FFT path, chopped into uneven pieces
-  // (forcing both the FFT and the direct fallback across call boundaries),
-  // must match the pure scalar path sample for sample.
-  const Signal h = design_lowpass(kFs, 50.0e3, 129);
-  const Signal x = random_signal(8192, 41);
-
-  FirFilter scalar_f(h);
-  Signal scalar_out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) scalar_out[i] = scalar_f.process(x[i]);
-
-  FirFilter split_f(h);
-  Signal split_out;
-  const std::size_t chunks[] = {1, 63, 4000, 129, 2500, 1499};
-  std::size_t pos = 0;
-  for (const std::size_t c : chunks) {
-    const std::size_t take = std::min(c, x.size() - pos);
-    const Signal piece = split_f.process(
-        std::span<const Real>(x.data() + pos, take));
-    split_out.insert(split_out.end(), piece.begin(), piece.end());
-    pos += take;
-  }
-  ASSERT_EQ(pos, x.size());
-  ASSERT_EQ(split_out.size(), scalar_out.size());
-  EXPECT_LT(rms_error(scalar_out, split_out), kRmsTol);
-
-  // Streaming must keep working scalar-wise after a batch call.
-  const Real next_scalar = scalar_f.process(0.5);
-  const Real next_split = split_f.process(0.5);
-  EXPECT_NEAR(next_scalar, next_split, 1e-9);
-}
-
-TEST(FastConvolve, MinTapsEnvOverridesDispatch) {
-  // The override forces the FFT path at/above the given tap count and the
-  // direct path below it, regardless of the cost model.
-  ASSERT_EQ(setenv("ECOCAP_FFT_CONV_MIN_TAPS", "64", 1), 0);
-  EXPECT_FALSE(use_fft_convolution(1 << 15, 63));
-  EXPECT_TRUE(use_fft_convolution(1 << 15, 64));
-  EXPECT_TRUE(use_fft_convolution(8, 64));  // even when clearly slower
-  ASSERT_EQ(setenv("ECOCAP_FFT_CONV_MIN_TAPS", "0", 1), 0);
-  EXPECT_TRUE(use_fft_convolution(16, 1));
-  ASSERT_EQ(unsetenv("ECOCAP_FFT_CONV_MIN_TAPS"), 0);
-  EXPECT_EQ(fft_conv_min_taps_override(), -1);
-  // Cost model: big jobs go FFT, tiny kernels stay direct.
-  EXPECT_TRUE(use_fft_convolution(1 << 15, 129));
+TEST(FastConvolve, CostModelDispatch) {
+  // Degenerate shapes and tiny kernels stay on the direct kernel.
+  EXPECT_FALSE(use_fft_convolution(0, 129));
+  EXPECT_FALSE(use_fft_convolution(1 << 15, 0));
   EXPECT_FALSE(use_fft_convolution(1 << 15, 3));
-  // The receiver's frame search (decimated 64k-144k windows against the
-  // 387-sample preamble) runs faster on the SIMD kernel than on FFT; the
-  // scalar loops and long templates still go FFT.
+  EXPECT_FALSE(use_fft_convolution(63, 50));
+  // The receiver's frame search (decimated 64k-200k windows against the
+  // 387-sample preamble) runs faster on the SIMD kernel than on FFT.
   for (const std::size_t n : {1033UL, 1549UL, 2323UL, 3226UL}) {
-    EXPECT_FALSE(use_fft_convolution(n, 387, DirectForm::kSimdKernel)) << n;
-    EXPECT_TRUE(use_fft_convolution(n, 387)) << n;
+    EXPECT_FALSE(use_fft_convolution(n, 387)) << n;
   }
-  EXPECT_TRUE(use_fft_convolution(8000, 3000, DirectForm::kSimdKernel));
-}
-
-TEST(FastConvolve, InvalidMinTapsEnvIsNotedOnStderr) {
-  for (const char* bad : {"abc", "-3", "12x"}) {
-    ASSERT_EQ(setenv("ECOCAP_FFT_CONV_MIN_TAPS", bad, 1), 0);
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(fft_conv_min_taps_override(), -1);
-    EXPECT_FALSE(use_fft_convolution(1 << 15, 3));  // the cost model rules
-    const std::string note = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(note.find("ECOCAP_FFT_CONV_MIN_TAPS=\"" + std::string(bad)),
-              std::string::npos)
-        << note;
-    EXPECT_NE(note.find("cost model"), std::string::npos) << note;
-    // One note per distinct value, not one per convolution.
-    EXPECT_EQ(note.find("ECOCAP", note.find("ECOCAP") + 1), std::string::npos)
-        << note;
+  // Templates of 1500 samples and more (the preamble at the low Fig. 16
+  // bitrates) go FFT.
+  for (const std::size_t n : {1500UL, 3000UL, 8000UL, 1UL << 15}) {
+    EXPECT_TRUE(use_fft_convolution(n, 1500)) << n;
+    EXPECT_TRUE(use_fft_convolution(n + 1500, 3000)) << n;
   }
-  ASSERT_EQ(setenv("ECOCAP_FFT_CONV_MIN_TAPS", "64", 1), 0);
-  ::testing::internal::CaptureStderr();
-  EXPECT_EQ(fft_conv_min_taps_override(), 64);
-  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
-  ASSERT_EQ(unsetenv("ECOCAP_FFT_CONV_MIN_TAPS"), 0);
 }
 
 TEST(FilterCache, SameKeyReturnsSameEntry) {
@@ -307,8 +200,7 @@ TEST(FilterCache, SameKeyReturnsSameEntry) {
   // Different parameters are different entries.
   EXPECT_NE(a.get(), cache.lowpass(kFs, 60.0e3, 129).get());
   EXPECT_NE(a.get(), cache.lowpass(kFs, 50.0e3, 131).get());
-  EXPECT_NE(a.get(),
-            cache.lowpass(kFs, 50.0e3, 129, WindowKind::kBlackman).get());
+  EXPECT_NE(a.get(), cache.lowpass(2.0e6, 50.0e3, 129).get());
   EXPECT_EQ(cache.size(), 4u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -317,17 +209,14 @@ TEST(FilterCache, SameKeyReturnsSameEntry) {
 
 TEST(FilterCache, KindsAndResonatorAreDistinct) {
   FilterCache cache;
-  const auto lo = cache.lowpass(kFs, 50.0e3, 101);
-  const auto hi = cache.highpass(kFs, 50.0e3, 101);
-  EXPECT_NE(lo.get(), hi.get());
-  const auto bp = cache.bandpass(kFs, 40.0e3, 60.0e3, 101);
-  const auto bs = cache.bandstop(kFs, 40.0e3, 60.0e3, 101);
-  EXPECT_NE(bp.get(), bs.get());
-
+  (void)cache.lowpass(2.0e6, 230.0e3, 101);
   const auto res = cache.bandpass_resonator(2.0e6, 230.0e3, 10.0);
   EXPECT_EQ(res.get(), cache.bandpass_resonator(2.0e6, 230.0e3, 10.0).get());
   Biquad fresh = Biquad::bandpass(2.0e6, 230.0e3, 10.0);
   EXPECT_EQ(res->peak_gain, fresh.magnitude_at(2.0e6, 230.0e3));
+  // A low-pass and a resonator with the same fs and frequency are two
+  // entries.
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(FilterCache, EightThreadsHammeringOneKey) {
