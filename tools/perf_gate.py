@@ -19,10 +19,11 @@ micro_dsp — fails (exit 1) when a pinned speedup floor is violated:
     cannot demonstrate thread scaling;
   * the receiver front-end speedup (front_end_speedup: the fused
     mix/lowpass/decimate front end with its prefix-plus-Goertzel carrier
-    search vs the full-rate reference chain on a ~96k-sample capture) is
-    enforced on every host — it comes from computing 1/62 of the samples,
-    not from SIMD — and decode_valid must be 1 (that capture decoded to
-    the sent payload).
+    search vs the full-rate reference chain on a ~96k-sample capture — the
+    whole-window carrier estimate, then the same mixer and lowpass at every
+    sample with every 62nd kept) is enforced on every host — it comes from
+    computing 1/62 of the samples, not from SIMD — and decode_valid must be
+    1 (that capture decoded to the sent payload).
 
 fleet — gates the sharded fleet engine + telemetry serving layer:
 
@@ -89,7 +90,7 @@ KERNEL_FLOORS = {
 FDTD_THREAD_FLOOR = ("fdtd_256_step_speedup_4t", 1.1)
 
 # Receiver front end vs the full-rate reference chain on the ~96k-sample
-# default-system capture (measured ~10x on a 4-core AVX2 container).
+# default-system capture (measured 11.0-11.5x on a 4-core AVX2 container).
 FRONT_END_FLOOR = ("front_end_speedup", 3.0)
 
 # Block channel noise vs the per-sample std::normal_distribution loop
