@@ -36,7 +36,7 @@ int main() {
   dsp::Oscillator cw(fs, 230.0e3);
   cw.reset_phase(0.7);
   const Real bs_rms = dsp::rms(rx);
-  for (auto& v : rx) v += cw.next(10.0 * bs_rms * 1.41421356);
+  cw.accumulate(rx, 10.0 * bs_rms * 1.41421356);
   dsp::add_awgn(rx, 1e-3, rng);
 
   // Spectrum 200-260 kHz.

@@ -10,7 +10,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <random>
 #include <string>
 #include <thread>
@@ -445,6 +447,32 @@ void record_roofline_metrics(ecocap::bench::BenchJson& json) {
       benchmark::DoNotOptimize(sxx);
     });
     per_elem("fdtd_stress", str_seed_ns, str_simd_ns, cells, 112.0, 20.0);
+  }
+
+  // Carrier sine over 4096 phases in [0, 2*pi) (L1-resident), in place as
+  // Oscillator::generate runs it: the seed's per-sample std::sin vs the
+  // kernel map. Flops count the canonical expression: 8 for the reduction
+  // and r*r, 13 for the sine polynomial, 15 for the cosine, 1 for the
+  // amplitude.
+  {
+    dsp::Signal phases(4096);
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+      phases[i] = dsp::kTwoPi * static_cast<double>(i) / 4096.0;
+    }
+    dsp::Signal y(phases.size());
+    const dsp::Real amplitude = 0.5;
+    const double seed_ns = time_ns([&] {
+      std::copy(phases.begin(), phases.end(), y.begin());
+      for (dsp::Real& v : y) v = amplitude * std::sin(v);
+      benchmark::DoNotOptimize(y.data());
+    });
+    const double simd_ns = time_ns([&] {
+      std::copy(phases.begin(), phases.end(), y.begin());
+      kt.sine(y.data(), y.size(), amplitude);
+      benchmark::DoNotOptimize(y.data());
+    });
+    per_elem("sine", seed_ns, simd_ns, static_cast<double>(y.size()), 16.0,
+             37.0);
   }
 
   // Channel noise over 64k samples: the per-sample std::normal_distribution

@@ -166,7 +166,7 @@ void ConcreteChannel::run_uplink_propagate(dsp::Biquad& resonator,
 void ConcreteChannel::run_uplink_si_noise(dsp::Oscillator& si,
                                           Real si_amplitude, dsp::Rng& rng,
                                           Signal& x) const {
-  for (Real& v : x) v += si.next(si_amplitude);
+  si.accumulate(x, si_amplitude);
   dsp::add_awgn(x, config_->noise_sigma, rng);
 }
 

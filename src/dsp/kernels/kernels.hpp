@@ -21,9 +21,10 @@ namespace ecocap::dsp::kernels {
 /// Results must not depend on which table ran, so golden vectors stay valid
 /// on any host:
 ///
-///  * **Elementwise maps** (the FDTD velocity/stress stencils, rectify) are
-///    computed with exactly the scalar expression's operation order and no
-///    FMA contraction — bit-identical across tables by construction.
+///  * **Elementwise maps** (the FDTD velocity/stress stencils, rectify, the
+///    carrier sine) are computed with exactly the scalar expression's
+///    operation order and no FMA contraction — bit-identical across tables
+///    by construction.
 ///  * **Reductions** (dot, correlate) use a *canonical striped order*: eight
 ///    interleaved partial sums over index residues mod 8, combined as
 ///    t[k] = s[k] + s[k+4] then ((t0 + t1) + (t2 + t3)), with the remainder
@@ -137,6 +138,11 @@ struct KernelTable {
   /// FDTD stencil rows (pure elementwise maps — bit-identical everywhere).
   void (*fdtd_velocity_row)(const FdtdVelocityRowArgs& a);
   void (*fdtd_stress_row)(const FdtdStressRowArgs& a);
+
+  /// Carrier synthesis, in place: x[i] = amplitude * sin(x[i]) for phases
+  /// in [0, 2*pi). Cody–Waite reduction by pi/2 and the fdlibm sine/cosine
+  /// polynomials, selected by quadrant; within 1 ulp of std::sin.
+  void (*sine)(Real* x, std::size_t n, Real amplitude);
 };
 
 /// The canonical scalar table (always available).

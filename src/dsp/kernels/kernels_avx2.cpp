@@ -209,4 +209,45 @@ void fdtd_stress_row(const FdtdStressRowArgs& a) {
   }
 }
 
+void sine(Real* x, std::size_t n, Real amplitude) {
+  using namespace sine_coeffs;
+  const auto k = [](Real c) { return _mm256_set1_pd(c); };
+  const __m256i one = _mm256_set1_epi64x(1);
+  const __m256i two = _mm256_set1_epi64x(2);
+  const __m256d amp = k(amplitude);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d v = _mm256_loadu_pd(x + i);
+    const __m256d t = _mm256_add_pd(_mm256_mul_pd(v, k(kInvPio2)),
+                                    k(kRoundShift));
+    const __m256d fn = _mm256_sub_pd(t, k(kRoundShift));
+    const __m256d r =
+        _mm256_sub_pd(_mm256_sub_pd(v, _mm256_mul_pd(fn, k(kPio2Hi))),
+                      _mm256_mul_pd(fn, k(kPio2Lo)));
+    const __m256d z = _mm256_mul_pd(r, r);
+    // Horner steps a + z*b, spelled out in the scalar table's order.
+    const auto horner = [&](Real a, __m256d b) {
+      return _mm256_add_pd(k(a), _mm256_mul_pd(z, b));
+    };
+    const __m256d ps =
+        horner(kS2, horner(kS3, horner(kS4, horner(kS5, k(kS6)))));
+    const __m256d s = _mm256_add_pd(
+        r, _mm256_mul_pd(_mm256_mul_pd(z, r), horner(kS1, ps)));
+    const __m256d pc = _mm256_mul_pd(
+        z, horner(kC1,
+                  horner(kC2, horner(kC3, horner(kC4, horner(kC5, k(kC6)))))));
+    const __m256d c = _mm256_sub_pd(
+        k(1.0), _mm256_sub_pd(_mm256_mul_pd(k(0.5), z), _mm256_mul_pd(z, pc)));
+    // Quadrant q = low bits of t: odd q takes the cosine, q & 2 the sign.
+    const __m256i q = _mm256_castpd_si256(t);
+    const __m256d odd = _mm256_castsi256_pd(
+        _mm256_cmpeq_epi64(_mm256_and_si256(q, one), one));
+    const __m256d sign =
+        _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_and_si256(q, two), 62));
+    const __m256d y = _mm256_xor_pd(_mm256_blendv_pd(s, c, odd), sign);
+    _mm256_storeu_pd(x + i, _mm256_mul_pd(amp, y));
+  }
+  if (i < n) scalar::sine(x + i, n - i, amplitude);
+}
+
 }  // namespace ecocap::dsp::kernels::detail::avx2

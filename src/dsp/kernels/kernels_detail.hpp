@@ -13,6 +13,32 @@
 
 namespace ecocap::dsp::kernels::detail {
 
+/// Constants of the `sine` kernel, shared so every table evaluates the same
+/// expression. The phase is reduced as r = (x - q*kPio2Hi) - q*kPio2Lo with
+/// q = round(x * 2/pi): kPio2Hi (the double nearest pi/2) ends in three zero
+/// bits, so q*kPio2Hi is exact for q <= 4 and, by Sterbenz, so is the first
+/// subtraction. q is read from the low mantissa bits of
+/// x * 2/pi + kRoundShift. The polynomials are fdlibm's __kernel_sin
+/// (degree 13) and __kernel_cos (degree 14).
+namespace sine_coeffs {
+inline constexpr Real kInvPio2 = 0x1.45f306dc9c883p-1;
+inline constexpr Real kRoundShift = 0x1.8p52;
+inline constexpr Real kPio2Hi = 0x1.921fb54442d18p+0;
+inline constexpr Real kPio2Lo = 0x1.1a62633145c07p-54;
+inline constexpr Real kS1 = -0x1.5555555555549p-3;
+inline constexpr Real kS2 = 0x1.111111110f8a6p-7;
+inline constexpr Real kS3 = -0x1.a01a019c161d5p-13;
+inline constexpr Real kS4 = 0x1.71de357b1fe7dp-19;
+inline constexpr Real kS5 = -0x1.ae5e68a2b9cebp-26;
+inline constexpr Real kS6 = 0x1.5d93a5acfd57cp-33;
+inline constexpr Real kC1 = 0x1.555555555554cp-5;
+inline constexpr Real kC2 = -0x1.6c16c16c15177p-10;
+inline constexpr Real kC3 = 0x1.a01a019cb1590p-16;
+inline constexpr Real kC4 = -0x1.27e4f809c52adp-22;
+inline constexpr Real kC5 = 0x1.1ee9ebdb4b1c4p-29;
+inline constexpr Real kC6 = -0x1.8fae9be8838d4p-37;
+}  // namespace sine_coeffs
+
 namespace scalar {
 Real dot(const Real* a, const Real* b, std::size_t n);
 void correlate_valid(const Real* x, std::size_t nx, const Real* h,
@@ -23,6 +49,7 @@ void onepole(const Real* x, Real* y, std::size_t n, Real alpha, Real* state);
 void envelope(const Real* x, Real* y, std::size_t n, Real alpha, Real* state);
 void fdtd_velocity_row(const FdtdVelocityRowArgs& a);
 void fdtd_stress_row(const FdtdStressRowArgs& a);
+void sine(Real* x, std::size_t n, Real amplitude);
 }  // namespace scalar
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -36,6 +63,7 @@ void onepole(const Real* x, Real* y, std::size_t n, Real alpha, Real* state);
 void envelope(const Real* x, Real* y, std::size_t n, Real alpha, Real* state);
 void fdtd_velocity_row(const FdtdVelocityRowArgs& a);
 void fdtd_stress_row(const FdtdStressRowArgs& a);
+void sine(Real* x, std::size_t n, Real amplitude);
 }  // namespace avx2
 #endif
 

@@ -21,6 +21,7 @@ const KernelTable kScalarTable = {
     scalar::correlate_valid, scalar::biquad,
     scalar::onepole,     scalar::envelope,
     scalar::fdtd_velocity_row, scalar::fdtd_stress_row,
+    scalar::sine,
 };
 
 #if defined(ECOCAP_KERNELS_AVX2)
@@ -29,6 +30,7 @@ const KernelTable kAvx2Table = {
     avx2::correlate_valid, avx2::biquad,
     avx2::onepole,     avx2::envelope,
     avx2::fdtd_velocity_row, avx2::fdtd_stress_row,
+    avx2::sine,
 };
 #endif
 
@@ -41,6 +43,9 @@ const KernelTable kNeonTable = {
     scalar::biquad,
     neon::onepole,     neon::envelope,
     neon::fdtd_velocity_row, neon::fdtd_stress_row,
+    // Two lanes buy little over the scalar loop; as with the biquad, the
+    // canonical scalar map serves NEON.
+    scalar::sine,
 };
 #endif
 

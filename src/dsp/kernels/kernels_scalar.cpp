@@ -9,6 +9,8 @@
 // are unchanged, only fused multiply-adds could break identity.
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "dsp/kernels/kernels_detail.hpp"
 
@@ -163,6 +165,27 @@ void fdtd_stress_row(const FdtdStressRowArgs& a) {
     const Real dvx_dy = (a.vx_up[i] - a.vx[i]) * a.inv_dx;
     const Real dvy_dx = (a.vy[i] - a.vy[i - 1]) * a.inv_dx;
     a.sxy[i] += a.dt * m * (dvx_dy + dvy_dx);
+  }
+}
+
+void sine(Real* x, std::size_t n, Real amplitude) {
+  using namespace sine_coeffs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Real v = x[i];
+    const Real t = v * kInvPio2 + kRoundShift;
+    const Real fn = t - kRoundShift;
+    const Real r = (v - fn * kPio2Hi) - fn * kPio2Lo;
+    const Real z = r * r;
+    const Real ps = kS2 + z * (kS3 + z * (kS4 + z * (kS5 + z * kS6)));
+    const Real s = r + (z * r) * (kS1 + z * ps);
+    const Real pc =
+        z * (kC1 + z * (kC2 + z * (kC3 + z * (kC4 + z * (kC5 + z * kC6)))));
+    const Real c = 1.0 - (0.5 * z - z * pc);
+    std::uint64_t q;
+    std::memcpy(&q, &t, sizeof q);
+    Real y = (q & 1) ? c : s;
+    if (q & 2) y = -y;
+    x[i] = amplitude * y;
   }
 }
 

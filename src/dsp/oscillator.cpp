@@ -1,7 +1,10 @@
 #include "dsp/oscillator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "dsp/kernels/kernels.hpp"
 
 namespace ecocap::dsp {
 
@@ -16,11 +19,34 @@ void Oscillator::set_frequency(Real frequency) {
 }
 
 Real Oscillator::next(Real amplitude) {
-  const Real v = amplitude * std::sin(phase_);
-  phase_ += step_;
-  if (phase_ >= kTwoPi) phase_ -= kTwoPi;
-  if (phase_ < 0.0) phase_ += kTwoPi;
+  Real v;
+  phases(std::span<Real>(&v, 1));
+  kernels::scalar_table().sine(&v, 1, amplitude);
   return v;
+}
+
+void Oscillator::phases(std::span<Real> out) {
+  Real phase = phase_;
+  for (Real& p : out) {
+    p = phase;
+    phase += step_;
+    if (phase >= kTwoPi) phase -= kTwoPi;
+    if (phase < 0.0) phase += kTwoPi;
+  }
+  phase_ = phase;
+}
+
+void Oscillator::accumulate(std::span<Real> x, Real amplitude) {
+  // Sines go through a stack chunk, so the block path allocates nothing.
+  constexpr std::size_t kChunk = 256;
+  Real buf[kChunk];
+  const kernels::KernelTable& k = kernels::active();
+  for (std::size_t i = 0; i < x.size(); i += kChunk) {
+    const std::size_t m = std::min(kChunk, x.size() - i);
+    phases(std::span<Real>(buf, m));
+    k.sine(buf, m, amplitude);
+    for (std::size_t j = 0; j < m; ++j) x[i + j] += buf[j];
+  }
 }
 
 Signal Oscillator::generate(std::size_t n, Real amplitude) {
@@ -31,7 +57,8 @@ Signal Oscillator::generate(std::size_t n, Real amplitude) {
 
 void Oscillator::generate(std::size_t n, Real amplitude, Signal& out) {
   out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = next(amplitude);
+  phases(out);
+  kernels::active().sine(out.data(), n, amplitude);
 }
 
 Signal tone(Real fs, Real f, std::size_t n, Real amplitude, Real phase0) {

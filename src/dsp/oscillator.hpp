@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "dsp/types.hpp"
 
@@ -10,6 +11,12 @@ namespace ecocap::dsp {
 /// synthesize the continuous body wave (CBW) and to hop between the resonant
 /// and off-resonant FSK frequencies without phase discontinuities (a phase
 /// jump would itself excite the PZT ring).
+///
+/// The phase advances by one serial recurrence (add the step, wrap into
+/// [0, 2*pi)); the sines of a block of phases are then taken in one call of
+/// the `kernels::KernelTable::sine` map. Every entry point runs the same
+/// recurrence and the same bit-identical kernel, so `next` x n, `generate`
+/// and `accumulate` give the same bits at any block split.
 class Oscillator {
  public:
   /// @param fs sample rate in Hz
@@ -29,6 +36,13 @@ class Oscillator {
 
   /// Produce `n` samples into a caller-provided buffer (resized to n).
   void generate(std::size_t n, Real amplitude, Signal& out);
+
+  /// Add the next `x.size()` samples onto `x` (x[i] += next(amplitude)).
+  void accumulate(std::span<Real> x, Real amplitude);
+
+  /// Write the next `out.size()` phases — the arguments `next` would take
+  /// the sine of — and advance past them.
+  void phases(std::span<Real> out);
 
   /// Current phase in radians, wrapped to [0, 2*pi).
   Real phase() const { return phase_; }

@@ -1,7 +1,10 @@
 #include "phy/carrier.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "dsp/kernels/kernels.hpp"
 
 namespace ecocap::phy {
 
@@ -19,24 +22,33 @@ void modulate_downlink(std::span<const Real> baseband,
     throw std::invalid_argument("modulate_downlink: bad sample rate");
   }
   dsp::Oscillator osc(params.fs, params.f_resonant);
-  out.resize(baseband.size());
+  const std::size_t n = baseband.size();
+  out.resize(n);
+  // The phases come first, then one sine-kernel call over the whole buffer.
   switch (scheme) {
     case DownlinkScheme::kOok:
-      for (std::size_t i = 0; i < baseband.size(); ++i) {
-        // Gate the drive; the oscillator keeps running so the phase stays
-        // continuous across gaps (as a gated signal generator does).
-        const Real c = osc.next(params.amplitude);
-        out[i] = (baseband[i] > 0.5) ? c : 0.0;
-      }
+      // The oscillator keeps running through the gated intervals, so the
+      // phase stays continuous across gaps (as a gated signal generator's).
+      osc.phases(out);
       break;
     case DownlinkScheme::kFskOffResonance:
-      for (std::size_t i = 0; i < baseband.size(); ++i) {
-        const Real f =
-            (baseband[i] > 0.5) ? params.f_resonant : params.f_off;
+      // One phase run per PIE level; each hop keeps the phase continuous.
+      for (std::size_t i = 0; i < n;) {
+        const bool high = baseband[i] > 0.5;
+        std::size_t j = i + 1;
+        while (j < n && (baseband[j] > 0.5) == high) ++j;
+        const Real f = high ? params.f_resonant : params.f_off;
         if (f != osc.frequency()) osc.set_frequency(f);
-        out[i] = osc.next(params.amplitude);
+        osc.phases(std::span<Real>(out.data() + i, j - i));
+        i = j;
       }
       break;
+  }
+  dsp::kernels::active().sine(out.data(), n, params.amplitude);
+  if (scheme == DownlinkScheme::kOok) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!(baseband[i] > 0.5)) out[i] = 0.0;
+    }
   }
 }
 
@@ -53,10 +65,6 @@ void backscatter_modulate(std::span<const Real> incident_carrier,
                           const BackscatterParams& params, Signal& out) {
   if (switching.size() > incident_carrier.size()) {
     throw std::invalid_argument("backscatter_modulate: switching too long");
-  }
-  const bool use_blf = params.f_blf > 0.0;
-  if (use_blf && fs <= 0.0) {
-    throw std::invalid_argument("backscatter_modulate: fs must be > 0");
   }
   out.resize(incident_carrier.size());
   backscatter_modulate(incident_carrier, switching, 0, fs, params,
@@ -75,22 +83,44 @@ void backscatter_modulate(std::span<const Real> incident_carrier,
   if (use_blf && fs <= 0.0) {
     throw std::invalid_argument("backscatter_modulate: fs must be > 0");
   }
-  // The subcarrier samples are computed inline (same fmod arithmetic as
-  // blf_square at phase 0) instead of materializing a square-wave buffer.
-  const Real period = use_blf ? fs / params.f_blf : 1.0;
+  if (use_blf && params.f_blf > 0.5 * fs) {
+    throw std::invalid_argument("backscatter_modulate: f_blf must be <= fs/2");
+  }
   const Real mid = 0.5 * (params.reflective_gain + params.absorptive_gain);
   const Real half = 0.5 * (params.reflective_gain - params.absorptive_gain);
-  for (std::size_t i = 0; i < incident_carrier.size(); ++i) {
-    const std::uint64_t idx = switching_offset + i;
-    // Before/after the data burst the switch rests in the absorptive state
-    // (harvest as much as possible, paper §2).
-    Real state = (idx < switching.size()) ? switching[idx] : -1.0;
-    if (use_blf && idx < switching.size()) {
-      const Real t = std::fmod(static_cast<Real>(idx), period) / period;
-      state *= (t < 0.5) ? 1.0 : -1.0;  // bipolar XOR = product
+  const std::size_t n = incident_carrier.size();
+  // Samples [0, active) fall inside the switching waveform; before/after
+  // the data burst the switch rests in the absorptive state (harvest as
+  // much as possible, paper §2).
+  const std::size_t active =
+      switching_offset < switching.size()
+          ? static_cast<std::size_t>(std::min<std::uint64_t>(
+                switching.size() - switching_offset, n))
+          : 0;
+  const Real* sw = switching.data() + (active > 0 ? switching_offset : 0);
+  if (use_blf) {
+    // The subcarrier is computed inline (blf_square's arithmetic at phase
+    // 0) with its phase r = fmod(idx, period) carried as a running
+    // remainder. With period >= 2 (f_blf <= fs/2), r + 1 is exact when it
+    // stays below the period and (r - period) + 1 is exact otherwise
+    // (Sterbenz), so r equals std::fmod(idx, period) bit for bit for every
+    // idx < 2^53 — one fmod per call instead of one per sample.
+    const Real period = fs / params.f_blf;
+    Real r = std::fmod(static_cast<Real>(switching_offset), period);
+    for (std::size_t i = 0; i < active; ++i) {
+      const Real state = sw[i] * ((r / period < 0.5) ? 1.0 : -1.0);
+      out[i] = incident_carrier[i] * (mid + half * state);
+      const Real r1 = r + 1.0;
+      r = (r1 >= period) ? (r - period) + 1.0 : r1;
     }
-    const Real gain = mid + half * state;
-    out[i] = incident_carrier[i] * gain;
+  } else {
+    for (std::size_t i = 0; i < active; ++i) {
+      out[i] = incident_carrier[i] * (mid + half * sw[i]);
+    }
+  }
+  const Real rest = mid + half * -1.0;
+  for (std::size_t i = active; i < n; ++i) {
+    out[i] = incident_carrier[i] * rest;
   }
 }
 

@@ -52,7 +52,8 @@ struct BackscatterParams {
   Real absorptive_gain = 0.25;
   /// Square subcarrier (backscatter link frequency) in Hz; 0 disables the
   /// BLF shift. With a subcarrier the data sidebands move +-f_blf away from
-  /// the carrier, opening the guard band of Fig. 24 / Appendix C.
+  /// the carrier, opening the guard band of Fig. 24 / Appendix C. At most
+  /// fs/2 (backscatter_modulate throws above it).
   Real f_blf = 0.0;
 };
 

@@ -8,14 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "dsp/biquad.hpp"
 #include "dsp/envelope.hpp"
 #include "dsp/kernels/kernels.hpp"
+#include "dsp/oscillator.hpp"
 
 namespace ecocap::dsp::kernels {
 namespace {
@@ -36,6 +40,38 @@ Signal random_signal(std::size_t n, std::uint32_t seed) {
 
 bool bit_equal(Real a, Real b) {
   return std::memcmp(&a, &b, sizeof(Real)) == 0;
+}
+
+/// Distance in units in the last place between two finite doubles.
+std::int64_t ulp_distance(Real a, Real b) {
+  const auto ordered = [](Real v) {
+    std::int64_t i;
+    std::memcpy(&i, &v, sizeof v);
+    return i < 0 ? INT64_MIN - i : i;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? -d : d;
+}
+
+/// Phases covering [0, 2*pi): a dense uniform grid, then the 64 doubles on
+/// each side of every multiple of pi/4 (the reduction's quadrant edges and
+/// the sine's zeros and peaks).
+Signal sine_test_phases() {
+  Signal x;
+  constexpr std::size_t kGrid = 1 << 20;
+  for (std::size_t i = 0; i < kGrid; ++i) {
+    x.push_back(kTwoPi * static_cast<Real>(i) / static_cast<Real>(kGrid));
+  }
+  for (int k = 0; k <= 8; ++k) {
+    Real lo = k * (kPi / 4.0), hi = lo;
+    for (int step = 0; step < 64; ++step) {
+      if (lo >= 0.0) x.push_back(lo);
+      if (hi < kTwoPi) x.push_back(hi);
+      lo = std::nextafter(lo, -1.0);
+      hi = std::nextafter(hi, 10.0);
+    }
+  }
+  return x;
 }
 
 /// Every non-scalar table that can run on this machine.
@@ -295,6 +331,101 @@ TEST(KernelEquivalence, FdtdRowsBitIdenticalAcrossTables) {
             << isa_name(t->isa) << " sxy i=" << i;
       }
     }
+  }
+}
+
+TEST(KernelEquivalence, SineBitIdenticalAcrossTables) {
+  const Signal phases = sine_test_phases();
+  for (const KernelTable* t : simd_tables()) {
+    for (std::size_t n : kLengths) {
+      for (std::size_t off : kOffsets) {
+        for (Real amplitude : {1.0, 0.37}) {
+          Signal a(phases.begin() + static_cast<std::ptrdiff_t>(off),
+                   phases.begin() + static_cast<std::ptrdiff_t>(off + n));
+          Signal b = a;
+          scalar_table().sine(a.data(), n, amplitude);
+          t->sine(b.data(), n, amplitude);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_TRUE(bit_equal(a[i], b[i]))
+                << isa_name(t->isa) << " n=" << n << " i=" << i;
+          }
+        }
+      }
+    }
+    Signal a = phases, b = phases;
+    scalar_table().sine(a.data(), a.size(), 1.0);
+    t->sine(b.data(), b.size(), 1.0);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_TRUE(bit_equal(a[i], b[i]))
+          << isa_name(t->isa) << " x=" << phases[i];
+    }
+  }
+}
+
+TEST(KernelEquivalence, SineWithinOneUlpOfStdSin) {
+  const Signal phases = sine_test_phases();
+  Signal y = phases;
+  active().sine(y.data(), y.size(), 1.0);
+  std::int64_t worst = 0;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    const std::int64_t d = ulp_distance(y[i], std::sin(phases[i]));
+    ASSERT_LE(d, 1) << "x=" << phases[i];
+    worst = std::max(worst, d);
+  }
+  EXPECT_EQ(worst, 1) << "a polynomial sine is not correctly rounded "
+                         "everywhere; 0 means std::sin itself ran";
+}
+
+TEST(KernelUsers, OscillatorEntryPointsAgreeAtAnySplit) {
+  // next() x n, generate() over random block splits and accumulate() over
+  // zeros must give the same bits, across FSK-style frequency hops, and
+  // leave the phase on the plain recurrence a checkpoint stores.
+  constexpr Real kFs = 2.0e6;
+  const Real hops[] = {230.0e3, 180.0e3, 230.0e3, 12345.678, 230.0e3};
+  constexpr std::size_t kPerHop = 3001;
+  constexpr Real kAmp = 0.8;
+  std::mt19937 rng(7);
+  Oscillator by_next(kFs, hops[0]), by_block(kFs, hops[0]),
+      by_acc(kFs, hops[0]);
+  by_next.reset_phase(1.0);
+  by_block.reset_phase(1.0);
+  by_acc.reset_phase(1.0);
+  Real ref_phase = 1.0;
+  for (Real f : hops) {
+    by_next.set_frequency(f);
+    by_block.set_frequency(f);
+    by_acc.set_frequency(f);
+    Signal want(kPerHop);
+    for (Real& v : want) v = by_next.next(kAmp);
+
+    Signal got;
+    while (got.size() < kPerHop) {
+      const std::size_t n = std::min<std::size_t>(rng() % 700,
+                                                  kPerHop - got.size());
+      Signal block;
+      by_block.generate(n, kAmp, block);
+      got.insert(got.end(), block.begin(), block.end());
+    }
+    Signal acc(kPerHop, 0.0);
+    for (std::size_t i = 0; i < kPerHop;) {
+      const std::size_t n = std::min<std::size_t>(1 + rng() % 600,
+                                                  kPerHop - i);
+      by_acc.accumulate(std::span<Real>(acc.data() + i, n), kAmp);
+      i += n;
+    }
+
+    const Real step = kTwoPi * f / kFs;
+    for (std::size_t i = 0; i < kPerHop; ++i) {
+      ASSERT_TRUE(bit_equal(want[i], got[i])) << "f=" << f << " i=" << i;
+      ASSERT_TRUE(bit_equal(want[i], acc[i])) << "f=" << f << " i=" << i;
+      ASSERT_LE(std::abs(want[i] - kAmp * std::sin(ref_phase)), 2.3e-16);
+      ref_phase += step;
+      if (ref_phase >= kTwoPi) ref_phase -= kTwoPi;
+      if (ref_phase < 0.0) ref_phase += kTwoPi;
+    }
+    ASSERT_TRUE(bit_equal(by_next.phase(), ref_phase)) << f;
+    ASSERT_TRUE(bit_equal(by_block.phase(), ref_phase)) << f;
+    ASSERT_TRUE(bit_equal(by_acc.phase(), ref_phase)) << f;
   }
 }
 

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <random>
+#include <span>
 
 #include "dsp/fft.hpp"
 #include "dsp/oscillator.hpp"
@@ -147,6 +152,81 @@ TEST(Backscatter, SwitchingLongerThanCarrierThrows) {
   EXPECT_THROW(
       (void)backscatter_modulate(carrier, switching, kFs, BackscatterParams{}),
       std::invalid_argument);
+}
+
+/// The per-sample std::fmod form of the streaming backscatter modulator,
+/// kept here as the reference its running BLF remainder must reproduce.
+Signal fmod_backscatter_reference(std::span<const Real> carrier,
+                                  std::span<const Real> switching,
+                                  std::uint64_t offset, Real fs,
+                                  const BackscatterParams& p) {
+  const Real period = fs / p.f_blf;
+  const Real mid = 0.5 * (p.reflective_gain + p.absorptive_gain);
+  const Real half = 0.5 * (p.reflective_gain - p.absorptive_gain);
+  Signal out(carrier.size());
+  for (std::size_t i = 0; i < carrier.size(); ++i) {
+    const std::uint64_t idx = offset + i;
+    Real state = (idx < switching.size()) ? switching[idx] : -1.0;
+    if (idx < switching.size()) {
+      const Real t = std::fmod(static_cast<Real>(idx), period) / period;
+      state *= (t < 0.5) ? 1.0 : -1.0;
+    }
+    out[i] = carrier[i] * (mid + half * state);
+  }
+  return out;
+}
+
+TEST(Backscatter, RunningBlfPhaseMatchesFmodAtAnySplit) {
+  // A 2^21-sample frame (~1 s at 2 MHz) reflected in random blocks: near
+  // its start, deep inside it, and across its end into the rest state.
+  constexpr std::size_t kFrame = std::size_t{1} << 21;
+  std::mt19937_64 rng(11);
+  Signal switching(kFrame);
+  for (Real& v : switching) v = (rng() & 1) ? 1.0 : -1.0;
+  dsp::Oscillator osc(kFs, 230.0e3);
+  const Signal carrier = osc.generate(40000, 0.9);
+  const auto bits = [](Real v) {
+    std::uint64_t u;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+  };
+  for (Real blf : {4000.0, 3000.0, 6400.0, 12345.678}) {
+    BackscatterParams bp;
+    bp.f_blf = blf;
+    for (std::uint64_t start : {std::uint64_t{0}, std::uint64_t{1234567},
+                                std::uint64_t{kFrame - 25000}}) {
+      const Signal want =
+          fmod_backscatter_reference(carrier, switching, start, kFs, bp);
+      Signal got(carrier.size());
+      for (std::size_t i = 0; i < carrier.size();) {
+        const std::size_t n =
+            std::min<std::size_t>(1 + rng() % 3000, carrier.size() - i);
+        backscatter_modulate(
+            std::span<const Real>(carrier.data() + i, n), switching,
+            start + i, kFs, bp, std::span<Real>(got.data() + i, n));
+        i += n;
+      }
+      for (std::size_t i = 0; i < carrier.size(); ++i) {
+        ASSERT_EQ(bits(got[i]), bits(want[i]))
+            << "blf=" << blf << " idx=" << start + i;
+      }
+    }
+  }
+}
+
+TEST(Backscatter, RejectsBlfAboveNyquist) {
+  const Signal carrier(100, 1.0);
+  const Signal switching(100, 1.0);
+  BackscatterParams bp;
+  bp.f_blf = 0.5 * kFs;
+  EXPECT_NO_THROW((void)backscatter_modulate(carrier, switching, kFs, bp));
+  bp.f_blf = 0.5 * kFs + 1.0;
+  EXPECT_THROW((void)backscatter_modulate(carrier, switching, kFs, bp),
+               std::invalid_argument);
+  Signal out(carrier.size());
+  EXPECT_THROW(backscatter_modulate(carrier, switching, 0, kFs, bp,
+                                    std::span<Real>(out)),
+               std::invalid_argument);
 }
 
 TEST(BlfSquare, FiftyPercentDuty) {

@@ -74,8 +74,8 @@ import sys
 
 # Kernel speedup floors (measured on AVX2: fir 3.7x, correlate 4.9x,
 # dot 3.7x, onepole 2.5x, envelope 2.5x, fdtd_stress 1.6x,
-# fdtd_velocity 1.4x, biquad ~1.0x — a serial recurrence, gated only
-# against regression below the seed loop).
+# fdtd_velocity 1.4x, sine ~4x, biquad ~1.0x — a serial recurrence, gated
+# only against regression below the seed loop).
 KERNEL_FLOORS = {
     "kern_dot_speedup": 2.0,
     "kern_fir_speedup": 2.0,
@@ -85,6 +85,7 @@ KERNEL_FLOORS = {
     "kern_fdtd_stress_speedup": 1.2,
     "kern_fdtd_velocity_speedup": 1.1,
     "kern_biquad_speedup": 0.8,
+    "kern_sine_speedup": 2.0,
 }
 
 FDTD_THREAD_FLOOR = ("fdtd_256_step_speedup_4t", 1.1)
