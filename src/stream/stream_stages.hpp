@@ -210,7 +210,11 @@ class UplinkStage {
 /// the absolute timeline are reassembled block by block (partial frames
 /// carry across blocks); when a window's last sample arrives it is decoded
 /// with the full batch Receiver against the window's negotiated line
-/// parameters, and the result queues for the next drain.
+/// parameters, and the result queues for the next drain. A decoded
+/// window's buffer is kept as the spare of every RxStage on the calling
+/// thread, so a warm thread allocates no capture storage per window, and
+/// readers polled in turn on one thread keep one window's storage between
+/// them rather than one per stage.
 class RxStage {
  public:
   explicit RxStage(const reader::ReceiverConfig& config);
@@ -237,6 +241,10 @@ class RxStage {
   /// chaos soak's leak check).
   const dsp::Workspace::Stats& workspace_stats() const { return ws_.stats(); }
 
+  /// Windows whose capture buffer had to come from the heap because the
+  /// scheduling thread's spare was missing or too small.
+  std::uint64_t capture_allocations() const { return capture_allocations_; }
+
   /// Round trip at a quiescent point: every scheduled window must have
   /// decoded and every decode drained (throws otherwise), so only the
   /// stream position is state.
@@ -251,10 +259,11 @@ class RxStage {
     CaptureWindow w;
     Signal buf;
   };
-  std::deque<Pending> pending_;
+  std::vector<Pending> pending_;
   std::vector<DecodedUplink> decodes_;
   Tap tap_;
   std::uint64_t pos_ = 0;
+  std::uint64_t capture_allocations_ = 0;
 };
 
 }  // namespace ecocap::stream

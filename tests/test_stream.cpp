@@ -306,6 +306,39 @@ TEST(BackscatterModulate, EmptySwitchingIsRestState) {
 }
 
 // ---------------------------------------------------------------------------
+// RxStage
+// ---------------------------------------------------------------------------
+
+TEST(RxStage, RecyclesCaptureBuffersOnceWarm) {
+  const auto receiver = ecocap::core::default_system().receiver;
+  const Signal block = test_waveform(4096, 47);
+  // Schedule and decode `count` windows of three lengths, one at a time.
+  const auto run_windows = [&](ecocap::stream::RxStage& rx, int count) {
+    for (int k = 0; k < count; ++k) {
+      ecocap::stream::CaptureWindow w;
+      w.start = rx.position() + 1000;
+      w.end = w.start + 20000 + 3000 * static_cast<std::uint64_t>(k % 3);
+      w.payload_bits = 16;
+      rx.schedule(w);
+      while (rx.position() < w.end) rx.push_block(block);
+      ASSERT_EQ(rx.drain_decodes().size(), 1u);
+    }
+  };
+  ecocap::stream::RxStage a(receiver);
+  run_windows(a, 3);  // warm: the longest window's storage is kept
+  const std::uint64_t warm = a.capture_allocations();
+  run_windows(a, 6);
+  EXPECT_EQ(a.capture_allocations(), warm)
+      << "a warm stage reuses capture storage instead of allocating";
+  // A second stage on the same thread (a reader fleet polled in turn)
+  // draws on the same spares, so it needs no storage of its own.
+  ecocap::stream::RxStage b(receiver);
+  run_windows(b, 6);
+  EXPECT_EQ(b.capture_allocations(), 0u);
+  EXPECT_EQ(a.workspace_stats().returns, a.workspace_stats().checkouts);
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end: the streaming daemon
 // ---------------------------------------------------------------------------
 
