@@ -262,7 +262,7 @@ void DaemonSupervisor::poll_step(Daemon& d, std::size_t i) {
   }
   if (dropped > 0) {
     d.stats.events_dropped += dropped;
-    d.reader->add_events_dropped(dropped);
+    d.reader->set_events_dropped(d.stats.events_dropped);
   }
 
   maybe_checkpoint(d, i);
@@ -308,6 +308,9 @@ void DaemonSupervisor::restart(Daemon& d, std::size_t i) {
     store_.reset_node(i);
     ++d.stats.restarted_from_scratch;
   }
+  // The rewind restored the reader's drop count to the checkpoint's (or
+  // zero); the supervisor's count, which never rewinds, is the truth.
+  d.reader->set_events_dropped(d.stats.events_dropped);
   d.stats.polls_done = d.reader->polls_done();
   launch(d, i);
   const double ms =

@@ -55,8 +55,9 @@ struct StreamingReaderStats {
   std::uint64_t brownouts = 0;
   std::uint64_t fault_events_applied = 0;
   /// Telemetry events lost to ring overflow under the drop-oldest /
-  /// drop-newest backpressure policies (the runtime collector accounts
-  /// them here, exactly — one count per evicted or discarded event).
+  /// drop-newest backpressure policies — one count per evicted or
+  /// discarded event, mirrored here from the runtime supervisor, which
+  /// owns the count (see set_events_dropped).
   std::uint64_t events_dropped = 0;
   SupervisorTotals supervisor;
   dsp::Real sim_seconds = 0.0;
@@ -123,10 +124,11 @@ class StreamingReader {
   /// Cumulative stats so far (same snapshot run/run_polls return).
   StreamingReaderStats stats() const;
 
-  /// Fold telemetry-ring drops into the cumulative (checkpointed) stats —
-  /// the runtime collector calls this with each drain's exact eviction
-  /// count.
-  void add_events_dropped(std::uint64_t n) { stats_.events_dropped += n; }
+  /// Mirror the supervisor's telemetry-ring drop count into the cumulative
+  /// (checkpointed) stats. The supervisor owns the count: it sets it after
+  /// every drop and after every restart, so a checkpoint rewind cannot
+  /// split the two.
+  void set_events_dropped(std::uint64_t n) { stats_.events_dropped = n; }
 
   /// The store readings land in: the shared fleet store when configured,
   /// otherwise the reader's own.

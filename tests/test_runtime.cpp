@@ -461,6 +461,31 @@ TEST(DaemonSupervisor, DropOldestAccountsEveryLostEventExactly) {
       << "drops surface in the (checkpointed) reader stats";
 }
 
+// A restart rewinds the reader's checkpointed stats, drop count included,
+// while the supervisor keeps counting. A scripted crash takes the same
+// rewind path as a watchdog false kick, deterministically: with the
+// collector paused and a two-slot ring, every poll after the second drops
+// an event, so drops land between the poll-4 checkpoint and the crash at
+// poll 6 and the rewind would lose them from the reader's copy.
+TEST(DaemonSupervisor, RestartKeepsTheReaderDropCountOnTheSupervisors) {
+  using Chaos = ecocap::runtime::ChaosEvent;
+  auto config = fleet_config(1, 8);  // checkpoints after polls 4 and 8
+  config.event_ring_capacity = 2;
+  config.event_policy = Overflow::kDropOldest;
+  config.script = {{0, 0, Chaos::Kind::kThrottle, 600000},
+                   {0, 6, Chaos::Kind::kCrash, 1}};
+  ecocap::runtime::DaemonSupervisor supervisor(config);
+  const auto stats = supervisor.run();
+  const auto& d = stats.daemons[0];
+  EXPECT_EQ(d.polls_done, 8u);
+  EXPECT_GE(d.crashes, 1u);
+  EXPECT_GE(d.resumed_from_checkpoint, 1u);
+  EXPECT_GT(d.events_dropped, 0u);
+  EXPECT_EQ(d.events_pushed, stats.events_collected + d.events_dropped);
+  EXPECT_EQ(d.reader.events_dropped, d.events_dropped)
+      << "the rewind must not split the reader's copy from the count";
+}
+
 TEST(DaemonSupervisor, ValidatesConfig) {
   ecocap::runtime::RuntimeConfig config;
   EXPECT_THROW(ecocap::runtime::DaemonSupervisor{config},
