@@ -1,10 +1,8 @@
 // Fig. 15 — uplink BER vs SNR: the EcoCapsule reader's coherent ML FM0
 // decoder against the PAB-class hard-decision decoder (Monte Carlo over
 // the decision-domain AWGN channel). Trials run on the parallel engine
-// (ECOCAP_THREADS workers); a short sequential rerun of one point records
-// the engine's speedup in BENCH_fig15_ber_vs_snr.json.
+// (ECOCAP_THREADS workers), bit-identically at any worker count.
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -40,29 +38,6 @@ int main() {
   }
   std::printf("# paper shape: BER ~0.5 near 2 dB; EcoCapsule floors (~1e-5)\n");
   std::printf("#   by ~8-9 dB; PAB needs ~3 dB more for the same BER\n");
-
-  // Engine speedup at one representative point: sequential reference vs the
-  // sharded run (identical trial count and statistics).
-  {
-    core::BerConfig cfg;
-    cfg.snr_db = 6.0;
-    cfg.total_bits = 200000;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto seq = core::fm0_ber_monte_carlo_sequential(cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    const auto par = core::fm0_ber_monte_carlo(cfg);
-    const auto t2 = std::chrono::steady_clock::now();
-    const double seq_s = std::chrono::duration<double>(t1 - t0).count();
-    const double par_s = std::chrono::duration<double>(t2 - t1).count();
-    std::printf("# engine: sequential %.3fs, parallel %.3fs (%.2fx, %u workers)\n",
-                seq_s, par_s, par_s > 0.0 ? seq_s / par_s : 0.0,
-                core::ThreadPool::default_worker_count());
-    out.metric("sequential_seconds", seq_s);
-    out.metric("parallel_seconds", par_s);
-    out.metric("speedup", par_s > 0.0 ? seq_s / par_s : 0.0);
-    (void)seq;
-    (void)par;
-  }
 
   out.set_trials(total_trial_bits / 64);  // 64-bit frames = one trial each
   out.metric("ml_ber_at_8db", ml_bers[8]);

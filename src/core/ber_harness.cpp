@@ -79,14 +79,4 @@ BerResult fm0_ber_monte_carlo(const BerConfig& config) {
   return fm0_ber_monte_carlo(config, ThreadPool::shared());
 }
 
-BerResult fm0_ber_monte_carlo_sequential(const BerConfig& config) {
-  dsp::Rng rng(config.seed);
-  BerResult result;
-  const Real sigma = awgn_sigma(config);
-  while (result.bits < config.total_bits) {
-    run_frame(config, sigma, rng, result);
-  }
-  return result;
-}
-
 }  // namespace ecocap::core

@@ -44,11 +44,6 @@ BerResult fm0_ber_monte_carlo(const BerConfig& config, ThreadPool& pool);
 /// Same, on the process-shared pool (honours ECOCAP_THREADS).
 BerResult fm0_ber_monte_carlo(const BerConfig& config);
 
-/// Strictly sequential reference implementation, kept for speedup
-/// measurements against the parallel engine (same statistics, different —
-/// single — RNG stream).
-BerResult fm0_ber_monte_carlo_sequential(const BerConfig& config);
-
 /// Hard-decision FM0 decode used by the PAB baseline model: sign-slice each
 /// half-bit and read the mid-symbol transition.
 phy::Bits fm0_hard_decode(std::span<const Real> x, Real samples_per_bit,

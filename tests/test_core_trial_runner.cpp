@@ -203,10 +203,10 @@ TEST(BerHarness, AggregatesBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(r1.errors, r2.errors);
   EXPECT_EQ(r1.bits, r8.bits);
   EXPECT_EQ(r1.errors, r8.errors);
-  // And the parallel engine must agree statistically with the sequential
-  // reference (different streams, same channel): both land near Q(sqrt(2s)).
-  const BerResult seq = fm0_ber_monte_carlo_sequential(cfg);
-  EXPECT_NEAR(r1.ber(), seq.ber(), 0.01);
+  // And the parallel engine must agree statistically with the deleted
+  // single-stream sequential reference, whose result on this config was
+  // pinned before its removal: 859 errors in 64000 bits.
+  EXPECT_NEAR(r1.ber(), 859.0 / 64000.0, 0.01);
 }
 
 TEST(UplinkSweep, WaveformTrialsDecodeAndReproduce) {
