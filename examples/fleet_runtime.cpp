@@ -8,6 +8,7 @@
 //
 //   ./fleet_runtime [polls_per_daemon]
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -41,23 +42,30 @@ int main(int argc, char** argv) {
   config.event_ring_capacity = 64;
   config.heartbeat_timeout_ms = 1500.0;
   config.watchdog_interval_ms = 5.0;
-  config.on_event = [](const runtime::PollEvent& ev) {
+  std::atomic<std::size_t> events_seen{0};
+  config.on_event = [&events_seen](const runtime::PollEvent& ev) {
     std::printf("  [daemon %u] poll %2llu  %-9s value=%.2f t=%u s\n",
                 ev.daemon, static_cast<unsigned long long>(ev.poll),
                 ev.delivered ? "delivered" : "missed",
                 static_cast<double>(ev.value), ev.t_sec);
+    events_seen.fetch_add(1, std::memory_order_relaxed);
   };
 
   runtime::DaemonSupervisor supervisor(config);
 
-  // The operator: waits for the fleet to get going, then kills daemon 0
-  // outright and wedges daemon 1's pipeline. Both injections ride the same
+  // The operator: waits for the fleet to get going (one reported poll per
+  // daemon), then kills daemon 0 outright and wedges daemon 1's pipeline.
+  // Waiting on progress rather than wall time keeps both injections
+  // mid-campaign however fast the host polls. Both ride the same
   // runtime-fault machinery a chaos plan uses.
-  std::thread operator_thread([&supervisor] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  std::atomic<bool> finished{false};
+  std::thread operator_thread([&] {
+    while (events_seen.load(std::memory_order_relaxed) < kDaemons &&
+           !finished.load(std::memory_order_relaxed)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     std::printf("-- operator: killing daemon 0\n");
     supervisor.inject_crash(0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
     std::printf("-- operator: stalling daemon 1 (watchdog must notice)\n");
     supervisor.inject_stall(1, 2);
   });
@@ -65,6 +73,7 @@ int main(int argc, char** argv) {
   std::printf("fleet runtime: %zu daemons x %llu polls\n", kDaemons,
               static_cast<unsigned long long>(polls));
   const auto stats = supervisor.run();
+  finished.store(true, std::memory_order_relaxed);
   operator_thread.join();
 
   std::printf("\n%-8s %6s %8s %8s %8s %6s %12s\n", "daemon", "polls",
