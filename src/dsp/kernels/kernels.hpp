@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "dsp/types.hpp"
 
@@ -22,9 +23,12 @@ namespace ecocap::dsp::kernels {
 /// on any host:
 ///
 ///  * **Elementwise maps** (the FDTD velocity/stress stencils, rectify, the
-///    carrier sine) are computed with exactly the scalar expression's
-///    operation order and no FMA contraction — bit-identical across tables
-///    by construction.
+///    carrier sine, the polar candidates and the polar scale) are computed
+///    with exactly the scalar expression's operation order and no FMA
+///    contraction — bit-identical across tables by construction. The polar
+///    candidates keep the accepted pairs in order, so their compaction is
+///    exact too.
+///  * **Integer maps** (the MT19937-64 twist) are exact on every table.
 ///  * **Reductions** (dot, correlate) use a *canonical striped order*: eight
 ///    interleaved partial sums over index residues mod 8, combined as
 ///    t[k] = s[k] + s[k+4] then ((t0 + t1) + (t2 + t3)), with the remainder
@@ -55,6 +59,9 @@ enum class Isa {
 
 /// Human-readable table name ("scalar", "avx2", "neon").
 const char* isa_name(Isa isa);
+
+/// Words of MT19937-64 state (std::mt19937_64's n).
+inline constexpr std::size_t kMtStateWords = 312;
 
 /// RBJ biquad coefficients, already normalized by a0.
 struct BiquadCoeffs {
@@ -143,6 +150,26 @@ struct KernelTable {
   /// in [0, 2*pi). Cody–Waite reduction by pi/2 and the fdlibm sine/cosine
   /// polynomials, selected by quadrant; within 1 ulp of std::sin.
   void (*sine)(Real* x, std::size_t n, Real amplitude);
+
+  /// MT19937-64 twist, in place over the kMtStateWords-word state:
+  /// std::mt19937_64's next state block (integer only).
+  void (*mt_twist)(std::uint64_t* state);
+
+  /// Accepted Marsaglia-polar candidates from `pairs` pairs of untempered
+  /// MT19937-64 state words (w[2j], w[2j+1]): each word is tempered and
+  /// mapped to u in [0, 1) as std::generate_canonical<double, 53> maps one
+  /// draw (including its nextafter(1, 0) clamp), then x = 2u - 1,
+  /// y = 2v - 1 and r2 = x*x + y*y — libstdc++'s normal_distribution
+  /// arithmetic, value for value. Pairs with 0 < r2 <= 1 are written in
+  /// order to x, y, r2, with `pair` holding each one's index j; every array
+  /// needs room for `pairs` entries. Returns the count accepted.
+  std::size_t (*polar_candidates)(const std::uint64_t* w, std::size_t pairs,
+                                  Real* x, Real* y, Real* r2,
+                                  std::uint64_t* pair);
+
+  /// Polar scale, in place: given l[i] = log(r2[i]), writes
+  /// l[i] = sqrt(-2 * l[i] / r2[i]) in that operation order.
+  void (*polar_scale)(Real* l, const Real* r2, std::size_t n);
 };
 
 /// The canonical scalar table (always available).

@@ -9,6 +9,8 @@
 // check. All kernel TUs are built with -ffp-contract=off so no compiler may
 // fuse a multiply-add and break the cross-table bit-identity contract.
 
+#include <cstdint>
+
 #include "dsp/kernels/kernels.hpp"
 
 namespace ecocap::dsp::kernels::detail {
@@ -39,6 +41,24 @@ inline constexpr Real kC5 = 0x1.1ee9ebdb4b1c4p-29;
 inline constexpr Real kC6 = -0x1.8fae9be8838d4p-37;
 }  // namespace sine_coeffs
 
+/// MT19937-64's twist parameters (std::mt19937_64's m, a and the 31-bit
+/// lower mask), shared by every table's `mt_twist`.
+namespace mt_params {
+inline constexpr std::size_t kN = kMtStateWords;
+inline constexpr std::size_t kM = 156;
+inline constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+inline constexpr std::uint64_t kLower = ~kUpper;
+inline constexpr std::uint64_t kA = 0xb5026f5aa96619e9ULL;
+
+/// One word of the twist. -(y & 1) is all ones for odd y: the matrix term
+/// without a branch on a random bit.
+inline std::uint64_t mix(std::uint64_t hi, std::uint64_t lo,
+                         std::uint64_t far) {
+  const std::uint64_t y = (hi & kUpper) | (lo & kLower);
+  return far ^ (y >> 1) ^ (-(y & 1) & kA);
+}
+}  // namespace mt_params
+
 namespace scalar {
 Real dot(const Real* a, const Real* b, std::size_t n);
 void correlate_valid(const Real* x, std::size_t nx, const Real* h,
@@ -50,6 +70,10 @@ void envelope(const Real* x, Real* y, std::size_t n, Real alpha, Real* state);
 void fdtd_velocity_row(const FdtdVelocityRowArgs& a);
 void fdtd_stress_row(const FdtdStressRowArgs& a);
 void sine(Real* x, std::size_t n, Real amplitude);
+void mt_twist(std::uint64_t* state);
+std::size_t polar_candidates(const std::uint64_t* w, std::size_t pairs,
+                             Real* x, Real* y, Real* r2, std::uint64_t* pair);
+void polar_scale(Real* l, const Real* r2, std::size_t n);
 }  // namespace scalar
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -64,6 +88,10 @@ void envelope(const Real* x, Real* y, std::size_t n, Real alpha, Real* state);
 void fdtd_velocity_row(const FdtdVelocityRowArgs& a);
 void fdtd_stress_row(const FdtdStressRowArgs& a);
 void sine(Real* x, std::size_t n, Real amplitude);
+void mt_twist(std::uint64_t* state);
+std::size_t polar_candidates(const std::uint64_t* w, std::size_t pairs,
+                             Real* x, Real* y, Real* r2, std::uint64_t* pair);
+void polar_scale(Real* l, const Real* r2, std::size_t n);
 }  // namespace avx2
 #endif
 

@@ -21,7 +21,8 @@ const KernelTable kScalarTable = {
     scalar::correlate_valid, scalar::biquad,
     scalar::onepole,     scalar::envelope,
     scalar::fdtd_velocity_row, scalar::fdtd_stress_row,
-    scalar::sine,
+    scalar::sine,        scalar::mt_twist,
+    scalar::polar_candidates, scalar::polar_scale,
 };
 
 #if defined(ECOCAP_KERNELS_AVX2)
@@ -30,7 +31,8 @@ const KernelTable kAvx2Table = {
     avx2::correlate_valid, avx2::biquad,
     avx2::onepole,     avx2::envelope,
     avx2::fdtd_velocity_row, avx2::fdtd_stress_row,
-    avx2::sine,
+    avx2::sine,        avx2::mt_twist,
+    avx2::polar_candidates, avx2::polar_scale,
 };
 #endif
 
@@ -46,6 +48,9 @@ const KernelTable kNeonTable = {
     // Two lanes buy little over the scalar loop; as with the biquad, the
     // canonical scalar map serves NEON.
     scalar::sine,
+    // The same holds for the noise kernels: the twist and the polar maps
+    // run the canonical scalar loops.
+    scalar::mt_twist, scalar::polar_candidates, scalar::polar_scale,
 };
 #endif
 

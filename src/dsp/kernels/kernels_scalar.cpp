@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "dsp/kernels/kernels_detail.hpp"
+#include "dsp/rng.hpp"
 
 namespace ecocap::dsp::kernels::detail::scalar {
 
@@ -187,6 +188,38 @@ void sine(Real* x, std::size_t n, Real amplitude) {
     if (q & 2) y = -y;
     x[i] = amplitude * y;
   }
+}
+
+void mt_twist(std::uint64_t* x) {
+  using namespace mt_params;
+  std::size_t k = 0;
+  for (; k < kN - kM; ++k) x[k] = mix(x[k], x[k + 1], x[k + kM]);
+  for (; k < kN - 1; ++k) x[k] = mix(x[k], x[k + 1], x[k + kM - kN]);
+  x[kN - 1] = mix(x[kN - 1], x[0], x[kM - 1]);
+}
+
+std::size_t polar_candidates(const std::uint64_t* w, std::size_t pairs,
+                             Real* x, Real* y, Real* r2, std::uint64_t* pair) {
+  std::size_t k = 0;
+  for (std::size_t j = 0; j < pairs; ++j) {
+    const Real u =
+        2.0 * Mt19937_64::to_canonical(Mt19937_64::temper(w[2 * j])) - 1.0;
+    const Real v =
+        2.0 * Mt19937_64::to_canonical(Mt19937_64::temper(w[2 * j + 1])) -
+        1.0;
+    const Real s = u * u + v * v;
+    // Compacted: a rejected pair's slot is overwritten by the next.
+    x[k] = u;
+    y[k] = v;
+    r2[k] = s;
+    pair[k] = j;
+    k += (s <= 1.0 && s != 0.0) ? 1 : 0;
+  }
+  return k;
+}
+
+void polar_scale(Real* l, const Real* r2, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) l[i] = std::sqrt(-2 * l[i] / r2[i]);
 }
 
 }  // namespace ecocap::dsp::kernels::detail::scalar

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "dsp/kernels/kernels.hpp"
+
 namespace ecocap::dsp {
 
 Mt19937_64::Mt19937_64(result_type seed) {
@@ -13,56 +15,41 @@ Mt19937_64::Mt19937_64(result_type seed) {
   }
 }
 
+static_assert(Mt19937_64::kN == kernels::kMtStateWords);
+
 void Mt19937_64::twist() {
-  constexpr result_type kUpper = ~result_type{0} << 31;
-  constexpr result_type kLower = ~kUpper;
-  constexpr result_type kA = 0xb5026f5aa96619e9ULL;
-  // -(y & 1) is all ones for odd y: the matrix term without a branch on a
-  // random bit.
-  const auto mix = [](result_type hi, result_type lo, result_type far) {
-    const result_type y = (hi & kUpper) | (lo & kLower);
-    return far ^ (y >> 1) ^ (-(y & 1) & kA);
-  };
-  std::size_t k = 0;
-  for (; k < kN - kM; ++k) x_[k] = mix(x_[k], x_[k + 1], x_[k + kM]);
-  for (; k < kN - 1; ++k) x_[k] = mix(x_[k], x_[k + 1], x_[k + kM - kN]);
-  x_[kN - 1] = mix(x_[kN - 1], x_[0], x_[kM - 1]);
+  kernels::active().mt_twist(x_.data());
   p_ = 0;
 }
 
-std::size_t Mt19937_64::polar_block(Polar* out, std::size_t max) {
+std::size_t Mt19937_64::polar_block(Real* x, Real* y, Real* r2,
+                                    std::size_t max) {
   if (max == 0) return 0;
   if (p_ >= kN) twist();
-  const auto accept = [](Real r2) { return r2 <= 1.0 && r2 != 0.0; };
   if (p_ == kN - 1) {
     // The pair straddles a twist: draw it one word at a time.
-    const Real x = 2.0 * canonical() - 1.0;
-    const Real y = 2.0 * canonical() - 1.0;
-    out[0] = {x, y, x * x + y * y};
-    return accept(out[0].r2) ? 1 : 0;
+    x[0] = 2.0 * canonical() - 1.0;
+    y[0] = 2.0 * canonical() - 1.0;
+    r2[0] = x[0] * x[0] + y[0] * y[0];
+    return (r2[0] <= 1.0 && r2[0] != 0.0) ? 1 : 0;
   }
-  // Convert a run of whole pairs from this state block in one straight
-  // (vectorizable) loop: about as many as `max` acceptances take at the
-  // pi/4 acceptance rate. An odd leftover word goes to the straddling
-  // branch on a later call; converted words past the last acceptance
-  // needed are dropped, not consumed.
-  const std::size_t pairs = std::min((kN - p_) / 2, max + max / 4 + 4);
-  Real u[kN];
-  const result_type* w = x_.data() + p_;
-  for (std::size_t j = 0; j < 2 * pairs; ++j) {
-    u[j] = 2.0 * to_canonical(temper(w[j])) - 1.0;
+  // Convert a run of whole pairs from this state block with one kernel
+  // call: about as many as `max` acceptances take at the pi/4 acceptance
+  // rate, in whole steps of four pairs (the AVX2 width; one step serves a
+  // single draw 99.8% of the time). An odd leftover word goes to the
+  // straddling branch on a later call; converted words past the last
+  // acceptance needed are dropped, not consumed.
+  const std::size_t pairs =
+      std::min((kN - p_) / 2, (max + max / 4 + 4) & ~std::size_t{3});
+  std::uint64_t pair[kN / 2];
+  const std::size_t got = kernels::active().polar_candidates(
+      x_.data() + p_, pairs, x, y, r2, pair);
+  if (got < max) {
+    p_ += 2 * pairs;
+    return got;
   }
-  std::size_t j = 0;
-  std::size_t k = 0;
-  for (; j < pairs && k < max; ++j) {
-    const Real x = u[2 * j];
-    const Real y = u[2 * j + 1];
-    const Real r2 = x * x + y * y;
-    out[k] = {x, y, r2};  // compacted: a rejected slot is overwritten
-    k += accept(r2) ? 1 : 0;
-  }
-  p_ += 2 * j;
-  return k;
+  p_ += 2 * (pair[max - 1] + 1);
+  return max;
 }
 
 void Mt19937_64::save(std::ostream& os) const {
@@ -97,23 +84,27 @@ void Rng::add_gaussian(std::span<Real> x, Real sigma) {
     spare_available_ = false;
     x[i++] += sigma * (spare_ + 0.0);
   }
-  constexpr std::size_t kBlock = 128;
-  Mt19937_64::Polar pairs[kBlock];
+  constexpr std::size_t kPairs = Mt19937_64::kN / 2;
+  Real px[kPairs], py[kPairs], r2[kPairs], m[kPairs];
   while (i < n) {
-    const std::size_t got =
-        engine_.polar_block(pairs, std::min(kBlock, (n - i + 1) / 2));
-    for (std::size_t j = 0; j < got; ++j) {
-      const Mt19937_64::Polar& c = pairs[j];
-      // libstdc++'s operation order, y first and x carried as the spare.
-      const Real mult = std::sqrt(-2 * std::log(c.r2) / c.r2);
-      x[i++] += sigma * (c.y * mult + 0.0);
-      const Real second = c.x * mult;
-      if (i < n) {
-        x[i++] += sigma * (second + 0.0);
-      } else {
-        spare_ = second;
-        spare_available_ = true;
-      }
+    const std::size_t got = engine_.polar_block(px, py, r2, (n - i + 1) / 2);
+    // libstdc++'s mult = sqrt(-2 * log(r2) / r2): log is the one scalar
+    // step, called once per pair this call consumes.
+    for (std::size_t j = 0; j < got; ++j) m[j] = std::log(r2[j]);
+    kernels::active().polar_scale(m, r2, got);
+    // libstdc++'s operation order, y first and x carried as the spare; only
+    // the last pair can be half used.
+    const std::size_t full = std::min(got, (n - i) / 2);
+    Real* out = x.data() + i;
+    for (std::size_t j = 0; j < full; ++j) {
+      out[2 * j] += sigma * (py[j] * m[j] + 0.0);
+      out[2 * j + 1] += sigma * (px[j] * m[j] + 0.0);
+    }
+    i += 2 * full;
+    if (full < got) {
+      x[i++] += sigma * (py[full] * m[full] + 0.0);
+      spare_ = px[full] * m[full];
+      spare_available_ = true;
     }
   }
 }

@@ -36,8 +36,9 @@ constexpr std::uint64_t trial_seed(std::uint64_t base_seed,
 
 /// MT19937-64 producing exactly std::mt19937_64's sequence from the same
 /// seed, with the same 312-word state and index. It differs only in speed:
-/// the twist selects the matrix term with a mask instead of a branch on a
-/// random bit, and canonical() converts a draw to double through two exact
+/// the twist runs through the kernel table (`kernels::KernelTable::mt_twist`,
+/// the matrix term selected with a mask instead of a branch on a random
+/// bit), and canonical() converts a draw to double through two exact
 /// 32-bit halves (one rounding, so the bits equal the direct u64 → double
 /// conversion) instead of the branchy unsigned conversion.
 class Mt19937_64 {
@@ -73,6 +74,14 @@ class Mt19937_64 {
     return r < 1.0 ? r : kBelowOne;
   }
 
+  /// MT19937-64's output tempering of one state word.
+  static result_type temper(result_type z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
   /// Stream text identical to libstdc++'s `os << std::mt19937_64`:
   /// the 312 state words then the index, space separated, in decimal.
   void save(std::ostream& os) const;
@@ -81,27 +90,18 @@ class Mt19937_64 {
   void load(std::istream& is);
 
  private:
-  static constexpr std::size_t kM = 156;
   static constexpr Real kBelowOne = 0x1.fffffffffffffp-1;  // nextafter(1, 0)
 
-  static result_type temper(result_type z) {
-    z ^= (z >> 29) & 0x5555555555555555ULL;
-    z ^= (z << 17) & 0x71d67fffeda60000ULL;
-    z ^= (z << 37) & 0xfff7eee000000000ULL;
-    return z ^ (z >> 43);
-  }
   void twist();
 
   friend class Rng;
   /// Marsaglia-polar candidates drawn from the current state block: each
-  /// attempt consumes two words (u then v) and is kept when
-  /// 0 < r2 <= 1. Writes at most `max` accepted (x, y, r2) triples to `out`
-  /// and returns their count; the index stops right after the last word
-  /// consumed, so the engine is exactly where a sequential draw would be.
-  struct Polar {
-    Real x, y, r2;
-  };
-  std::size_t polar_block(Polar* out, std::size_t max);
+  /// attempt consumes two words (u then v) and is kept when 0 < r2 <= 1.
+  /// Writes at most `max` accepted candidates to x, y, r2 (each with room
+  /// for kN / 2) and returns their count; the index stops right after the
+  /// last word consumed, so the engine is exactly where a sequential draw
+  /// would be.
+  std::size_t polar_block(Real* x, Real* y, Real* r2, std::size_t max);
 
   std::array<result_type, kN> x_;
   std::size_t p_ = kN;
@@ -132,7 +132,8 @@ class Rng {
 
   /// Adds sigma * gaussian() to every element of `x`, in order — the same
   /// values and end state as the per-element loop, drawn a block of polar
-  /// pairs at a time.
+  /// pairs at a time through the kernel table, with std::log as the one
+  /// scalar step per consumed pair.
   void add_gaussian(std::span<Real> x, Real sigma);
 
   /// Uniform in [0, 1).

@@ -14,12 +14,16 @@
 #include <cstring>
 #include <random>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "dsp/biquad.hpp"
 #include "dsp/envelope.hpp"
 #include "dsp/kernels/kernels.hpp"
 #include "dsp/oscillator.hpp"
+#include "dsp/rng.hpp"
+#include "mt_words.hpp"
 
 namespace ecocap::dsp::kernels {
 namespace {
@@ -374,6 +378,182 @@ TEST(KernelEquivalence, SineWithinOneUlpOfStdSin) {
   }
   EXPECT_EQ(worst, 1) << "a polynomial sine is not correctly rounded "
                          "everywhere; 0 means std::sin itself ran";
+}
+
+/// Untempered state words for the polar kernels: random words, then pairs
+/// of crafted engine outputs — the clamp word ~0 (u = 1 - 2^-53), 2^63
+/// (u == 0.5 exactly: x == 0, and r2 == 0 when both halves are 0.5, a
+/// rejected pair), 0 (x == -1, so (0, 2^63) gives r2 == 1 exactly), tiny
+/// radii, and r2 a few ulps on either side of 1: the clamp word with
+/// v = 0.5 + d / 2^64 for d around 2^37.5, where y^2 ~ 2^-51 cancels the
+/// clamp's 1 - x^2.
+std::vector<std::uint64_t> polar_test_words() {
+  constexpr std::uint64_t kClamp = ~0ULL;
+  constexpr std::uint64_t kHalf = 0x8000000000000000ULL;
+  std::vector<std::uint64_t> out = {
+      kClamp, kHalf,  kHalf, kHalf,  kHalf,        kClamp,
+      kClamp, kClamp, 0,     kHalf,  kHalf,        0,
+      0,      0,      kHalf + 2048,  kHalf + 2048, kHalf - 2048,
+      kHalf + 4096};
+  for (std::uint64_t d = 150'000'000'000ULL; d < 260'000'000'000ULL;
+       d += 500'000'000ULL) {
+    out.push_back(kClamp);
+    out.push_back(kHalf + d);
+  }
+  std::mt19937_64 g(17);
+  for (int i = 0; i < 4000; ++i) out.push_back(g());
+  for (std::uint64_t& w : out) w = untemper(w);
+  return out;
+}
+
+TEST(KernelEquivalence, MtTwistBitIdenticalAcrossTables) {
+  std::mt19937_64 g(23);
+  std::vector<std::vector<std::uint64_t>> states = {
+      std::vector<std::uint64_t>(kMtStateWords, 0),
+      std::vector<std::uint64_t>(kMtStateWords, ~0ULL),
+      std::vector<std::uint64_t>(kMtStateWords, 0x5555555555555555ULL)};
+  for (int k = 0; k < 8; ++k) {
+    states.emplace_back(kMtStateWords);
+    for (std::uint64_t& w : states.back()) w = g();
+  }
+  for (const KernelTable* t : simd_tables()) {
+    for (const auto& state : states) {
+      std::vector<std::uint64_t> a = state, b = state;
+      for (int round = 0; round < 3; ++round) {
+        scalar_table().mt_twist(a.data());
+        t->mt_twist(b.data());
+        ASSERT_EQ(a, b) << isa_name(t->isa) << " round " << round;
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, ScalarMtTwistIsStdMt19937_64) {
+  // Seeded state twisted by the kernel, tempered, equals the engine's
+  // first two blocks of output.
+  std::mt19937_64 ref(5489);
+  std::stringstream ss;
+  ss << ref;
+  std::vector<std::uint64_t> state(kMtStateWords);
+  for (std::uint64_t& w : state) ss >> w;
+  for (int block = 0; block < 2; ++block) {
+    scalar_table().mt_twist(state.data());
+    for (const std::uint64_t w : state) {
+      ASSERT_EQ(Mt19937_64::temper(w), ref()) << "block " << block;
+    }
+  }
+}
+
+/// What a table's polar_candidates writes, as plain vectors.
+struct Accepted {
+  std::vector<Real> x, y, r2;
+  std::vector<std::uint64_t> pair;
+};
+
+Accepted accepted_candidates(const KernelTable& t, const std::uint64_t* w,
+                             std::size_t pairs) {
+  Accepted a{std::vector<Real>(pairs), std::vector<Real>(pairs),
+             std::vector<Real>(pairs), std::vector<std::uint64_t>(pairs)};
+  const std::size_t got = t.polar_candidates(
+      w, pairs, a.x.data(), a.y.data(), a.r2.data(), a.pair.data());
+  a.x.resize(got);
+  a.y.resize(got);
+  a.r2.resize(got);
+  a.pair.resize(got);
+  return a;
+}
+
+void expect_bit_equal(const Accepted& a, const Accepted& b,
+                      const std::string& where) {
+  ASSERT_EQ(a.pair, b.pair) << where;
+  for (std::size_t k = 0; k < a.pair.size(); ++k) {
+    ASSERT_TRUE(bit_equal(a.x[k], b.x[k]) && bit_equal(a.y[k], b.y[k]) &&
+                bit_equal(a.r2[k], b.r2[k]))
+        << where << " k=" << k;
+  }
+}
+
+TEST(KernelEquivalence, PolarCandidatesMatchLibstdcxxArithmetic) {
+  // Each pair through Mt19937_64's tempering and generate_canonical
+  // mapping, then libstdc++'s 2u - 1 and r2; the scalar table keeps
+  // exactly the pairs with 0 < r2 <= 1, in order.
+  const std::vector<std::uint64_t> words = polar_test_words();
+  const std::size_t all = words.size() / 2;
+  Accepted want;
+  std::vector<Real> radii;
+  for (std::size_t j = 0; j < all; ++j) {
+    const auto coord = [&](std::uint64_t w) {
+      return 2.0 * Mt19937_64::to_canonical(Mt19937_64::temper(w)) - 1.0;
+    };
+    const Real x = coord(words[2 * j]);
+    const Real y = coord(words[2 * j + 1]);
+    const Real r2 = x * x + y * y;
+    radii.push_back(r2);
+    if (r2 <= 1.0 && r2 != 0.0) {
+      want.x.push_back(x);
+      want.y.push_back(y);
+      want.r2.push_back(r2);
+      want.pair.push_back(j);
+    }
+  }
+  // The crafted words reach every edge the acceptance test has.
+  const auto count = [&](auto pred) {
+    return std::count_if(radii.begin(), radii.end(), pred);
+  };
+  EXPECT_GT(count([](Real r) { return r == 0.0; }), 0);
+  EXPECT_GT(count([](Real r) { return r == 1.0; }), 0);
+  EXPECT_GT(count([](Real r) { return r < 1.0 && r > 1.0 - 0x1p-50; }), 0);
+  EXPECT_GT(count([](Real r) { return r > 1.0 && r < 1.0 + 0x1p-49; }), 0);
+  EXPECT_EQ(want.x[0], 1.0 - 0x1p-52);  // the clamp word
+  EXPECT_EQ(want.y[0], 0.0);            // u == 0.5 exactly
+  expect_bit_equal(accepted_candidates(scalar_table(), words.data(), all),
+                   want, "scalar");
+}
+
+TEST(KernelEquivalence, PolarCandidatesBitIdenticalAcrossTables) {
+  const std::vector<std::uint64_t> words = polar_test_words();
+  for (const KernelTable* t : simd_tables()) {
+    for (const std::size_t pairs : {0, 1, 3, 4, 5, 8, 155, 156, 1000,
+                                    static_cast<int>(words.size() / 2)}) {
+      for (const std::size_t off : {0, 1, 3}) {
+        if (2 * pairs + off > words.size()) continue;
+        expect_bit_equal(
+            accepted_candidates(scalar_table(), words.data() + off, pairs),
+            accepted_candidates(*t, words.data() + off, pairs),
+            std::string(isa_name(t->isa)) + " pairs=" +
+                std::to_string(pairs) + " off=" + std::to_string(off));
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, PolarScaleBitIdenticalAcrossTables) {
+  // Accepted radii of the crafted words (r2 == 1 gives sqrt(-0.0) == -0.0;
+  // tiny radii give large multipliers), then the scale of each.
+  const std::vector<std::uint64_t> words = polar_test_words();
+  const std::vector<Real> r2 =
+      accepted_candidates(scalar_table(), words.data(), words.size() / 2).r2;
+  ASSERT_GT(r2.size(), 1000u);
+  std::vector<Real> logs(r2.size());
+  for (std::size_t i = 0; i < r2.size(); ++i) logs[i] = std::log(r2[i]);
+  std::vector<Real> ref = logs;
+  scalar_table().polar_scale(ref.data(), r2.data(), ref.size());
+  for (std::size_t i = 0; i < r2.size(); ++i) {
+    ASSERT_TRUE(bit_equal(ref[i], std::sqrt(-2 * logs[i] / r2[i]))) << i;
+  }
+  for (const KernelTable* t : simd_tables()) {
+    for (std::size_t n : kLengths) {
+      for (std::size_t off : kOffsets) {
+        const auto first = logs.begin() + static_cast<std::ptrdiff_t>(off);
+        std::vector<Real> l(first, first + static_cast<std::ptrdiff_t>(n));
+        t->polar_scale(l.data(), r2.data() + off, n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(bit_equal(l[i], ref[off + i]))
+              << isa_name(t->isa) << " n=" << n << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelUsers, OscillatorEntryPointsAgreeAtAnySplit) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "dsp/rng.hpp"
+#include "mt_words.hpp"
 
 namespace ecocap::dsp {
 namespace {
@@ -57,18 +58,6 @@ void load_text(Rng& rng, const std::string& text) {
 }
 
 std::uint64_t bits(Real v) { return std::bit_cast<std::uint64_t>(v); }
-
-/// Inverse of MT19937-64's output tempering: the raw state word whose
-/// engine output is `z`.
-std::uint64_t untemper(std::uint64_t z) {
-  z ^= z >> 43;
-  z ^= (z << 37) & 0xfff7eee000000000ULL;
-  std::uint64_t x = z;
-  for (int i = 0; i < 4; ++i) x = z ^ ((x << 17) & 0x71d67fffeda60000ULL);
-  z = x;
-  for (int i = 0; i < 3; ++i) x = z ^ ((x >> 29) & 0x5555555555555555ULL);
-  return x;
-}
 
 /// Checkpoint text of a seeded reference generator with the state words
 /// from `index` on replaced by raw words whose outputs are `outputs`.
@@ -131,10 +120,12 @@ TEST(RngEquivalence, CanonicalMatchesGenerateCanonical) {
 
 TEST(RngEquivalence, MixedCallsMatchStdDistributions) {
   // Operation script from an independent generator: block noise at sizes
-  // 0, 1, odd, and longer than one 312-word state block, interleaved with
-  // every scalar draw, so polar pairs straddle twists and the carried spare
-  // crosses call boundaries in every combination.
-  const std::size_t sizes[] = {0, 1, 2, 3, 7, 155, 311, 312, 313, 1001, 4099};
+  // 0, 1, odd, the stream's 256, longer than one 312-word state block and
+  // random in [1, 700], interleaved with every scalar draw, so polar pairs
+  // straddle twists and the carried spare crosses call boundaries in every
+  // combination.
+  const std::size_t sizes[] = {0,   1,   2,   3,    7,   155,
+                               256, 311, 312, 313, 1001, 4099};
   for (const std::uint64_t seed : {std::uint64_t{7}, trial_seed(42, 3)}) {
     Rng ours(seed);
     ReferenceRng ref(seed);
@@ -143,7 +134,9 @@ TEST(RngEquivalence, MixedCallsMatchStdDistributions) {
       switch (script() % 9) {
         case 0:
         case 1: {
-          const std::size_t n = sizes[script() % std::size(sizes)];
+          const std::size_t n = (script() % 2)
+                                    ? sizes[script() % std::size(sizes)]
+                                    : 1 + script() % 700;
           const Real sigma = 0.25 + 0.01 * static_cast<Real>(script() % 100);
           std::vector<Real> a(n), b(n);
           for (std::size_t i = 0; i < n; ++i) {
@@ -188,6 +181,94 @@ TEST(RngEquivalence, MixedCallsMatchStdDistributions) {
     }
     EXPECT_EQ(text_of(ours), ref.text());
   }
+}
+
+TEST(RngEquivalence, BlockCallsAtEveryIndexAroundTheTwist) {
+  // A call that starts at engine index 300..312, with and without a carried
+  // spare: the kernel's last whole pairs, the pair that straddles the twist
+  // (index 311) and a call that starts with the twist (index 312) land on
+  // both output parities.
+  const std::size_t sizes[] = {1, 2, 3, 4, 5, 9, 24, 256, 700};
+  for (std::size_t index = 300; index <= Mt19937_64::kN; ++index) {
+    for (const bool spare : {false, true}) {
+      for (const std::size_t n : sizes) {
+        ReferenceRng ref(31);
+        ref.engine.discard(Mt19937_64::kN + index);
+        std::ostringstream text;
+        text << ref.engine << " 0.00000000000000000e+00"
+             << " 1.00000000000000000e+00 " << (spare ? "1 -3.25e-01" : "0")
+             << " 0.00000000000000000e+00 1.00000000000000000e+00";
+        ref.load(text.str());
+        Rng ours(1);
+        load_text(ours, text.str());
+        ASSERT_EQ(text_of(ours), ref.text());
+        std::vector<Real> a(n, -0.0), b(n, -0.0);
+        ours.add_gaussian(a, 0.7);
+        for (Real& v : b) v += ref.gaussian(0.7);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(bits(a[i]), bits(b[i]))
+              << "index " << index << " spare " << spare << " n " << n
+              << " i " << i;
+        }
+        ASSERT_EQ(text_of(ours), ref.text())
+            << "index " << index << " spare " << spare << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(RngEquivalence, CopiesAndReloadsContinueMidSequence) {
+  // Leave the generator mid-block with a spare cached, then continue the
+  // original, a copy and a save/load round trip: all three must follow the
+  // reference bit for bit.
+  Rng ours(2024);
+  ReferenceRng ref(2024);
+  std::vector<Real> block(257, 0.0);
+  ours.add_gaussian(block, 1.0);
+  for (int i = 0; i < 257; ++i) ref.gaussian(1.0);
+  ASSERT_EQ(bits(ours.uniform()), bits(ref.canonical()));
+  ASSERT_EQ(bits(ours.gaussian()), bits(ref.gaussian(1.0)));
+  ASSERT_EQ(text_of(ours), ref.text());
+
+  Rng copy = ours;
+  Rng reloaded(1);
+  load_text(reloaded, text_of(ours));
+  const std::string saved = ref.text();
+  for (Rng* rng : {&ours, &copy, &reloaded}) {
+    ReferenceRng r(1);
+    r.load(saved);
+    for (const std::size_t n : {3u, 256u, 1u, 611u}) {
+      std::vector<Real> a(n, 0.0);
+      rng->add_gaussian(a, 0.5);
+      for (const Real v : a) ASSERT_EQ(bits(v), bits(0.0 + r.gaussian(0.5)));
+      ASSERT_EQ(bits(rng->uniform()), bits(r.canonical()));
+    }
+    EXPECT_EQ(text_of(*rng), r.text());
+  }
+}
+
+TEST(RngEquivalence, UnitRadiusPairsGivePositiveZeros) {
+  // Outputs (0, 2^63) give the candidate (x, y) = (-1, 0) and (2^63, 0)
+  // give (0, -1): r2 == 1 exactly is accepted, log(r2) == 0 and the
+  // multiplier is sqrt(-0.0) == -0.0, so one variate of each pair is -0.0,
+  // which only libstdc++'s `+ mean` turns into +0.0 — on the y path, the
+  // carried spare and the in-buffer x path in turn.
+  constexpr std::uint64_t kHalf = 0x8000000000000000ULL;
+  const std::string text =
+      text_with_outputs(10, {0, kHalf, kHalf, 0, kHalf, 0});
+  Rng ours(1);
+  ReferenceRng ref(1);
+  load_text(ours, text);
+  ref.load(text);
+  for (int call = 0; call < 2; ++call) {
+    std::vector<Real> a(3, -0.0);
+    ours.add_gaussian(a, 1.0);
+    for (const Real v : a) {
+      EXPECT_EQ(bits(v), bits(-0.0 + ref.gaussian(1.0))) << "call " << call;
+      EXPECT_EQ(bits(v), bits(0.0)) << "call " << call;
+    }
+  }
+  EXPECT_EQ(text_of(ours), ref.text());
 }
 
 TEST(RngEquivalence, CheckpointTextIsByteEqualWithAndWithoutSpare) {
