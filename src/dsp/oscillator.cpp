@@ -36,9 +36,12 @@ void Oscillator::phases(std::span<Real> out) {
   phase_ = phase;
 }
 
+namespace {
+// Stack chunk for the block paths' phases, so they allocate nothing.
+constexpr std::size_t kChunk = 256;
+}  // namespace
+
 void Oscillator::accumulate(std::span<Real> x, Real amplitude) {
-  // Sines go through a stack chunk, so the block path allocates nothing.
-  constexpr std::size_t kChunk = 256;
   Real buf[kChunk];
   const kernels::KernelTable& k = kernels::active();
   for (std::size_t i = 0; i < x.size(); i += kChunk) {
@@ -46,6 +49,13 @@ void Oscillator::accumulate(std::span<Real> x, Real amplitude) {
     phases(std::span<Real>(buf, m));
     k.sine(buf, m, amplitude);
     for (std::size_t j = 0; j < m; ++j) x[i + j] += buf[j];
+  }
+}
+
+void Oscillator::advance(std::size_t n) {
+  Real buf[kChunk];
+  for (std::size_t i = 0; i < n; i += kChunk) {
+    phases(std::span<Real>(buf, std::min(kChunk, n - i)));
   }
 }
 

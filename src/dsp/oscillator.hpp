@@ -16,7 +16,8 @@ namespace ecocap::dsp {
 /// [0, 2*pi)); the sines of a block of phases are then taken in one call of
 /// the `kernels::KernelTable::sine` map. Every entry point runs the same
 /// recurrence and the same bit-identical kernel, so `next` x n, `generate`
-/// and `accumulate` give the same bits at any block split.
+/// and `accumulate` give the same bits at any block split, and `advance`
+/// leaves the phase exactly where they would.
 class Oscillator {
  public:
   /// @param fs sample rate in Hz
@@ -43,6 +44,10 @@ class Oscillator {
   /// Write the next `out.size()` phases — the arguments `next` would take
   /// the sine of — and advance past them.
   void phases(std::span<Real> out);
+
+  /// Advance past the next `n` samples without producing them: the same
+  /// phase recurrence, no sines.
+  void advance(std::size_t n);
 
   /// Current phase in radians, wrapped to [0, 2*pi).
   Real phase() const { return phase_; }

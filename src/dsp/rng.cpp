@@ -76,33 +76,44 @@ void Mt19937_64::load(std::istream& is) {
 }
 
 void Rng::add_gaussian(std::span<Real> x, Real sigma) {
-  const std::size_t n = x.size();
+  draw_gaussian(x.data(), x.size(), sigma);
+}
+
+void Rng::skip_gaussian(std::size_t n) { draw_gaussian(nullptr, n, 0.0); }
+
+void Rng::draw_gaussian(Real* out, std::size_t n, Real sigma) {
   std::size_t i = 0;
   // std::normal_distribution returns `g * stddev + mean`; with (0, 1) the
   // `+ 0.0` is what remains, and it turns a -0.0 into +0.0.
   if (n > 0 && spare_available_) {
     spare_available_ = false;
-    x[i++] += sigma * (spare_ + 0.0);
+    if (out) out[0] += sigma * (spare_ + 0.0);
+    ++i;
   }
   constexpr std::size_t kPairs = Mt19937_64::kN / 2;
   Real px[kPairs], py[kPairs], r2[kPairs], m[kPairs];
   while (i < n) {
     const std::size_t got = engine_.polar_block(px, py, r2, (n - i + 1) / 2);
-    // libstdc++'s mult = sqrt(-2 * log(r2) / r2): log is the one scalar
-    // step, called once per pair this call consumes.
-    for (std::size_t j = 0; j < got; ++j) m[j] = std::log(r2[j]);
-    kernels::active().polar_scale(m, r2, got);
     // libstdc++'s operation order, y first and x carried as the spare; only
     // the last pair can be half used.
     const std::size_t full = std::min(got, (n - i) / 2);
-    Real* out = x.data() + i;
-    for (std::size_t j = 0; j < full; ++j) {
-      out[2 * j] += sigma * (py[j] * m[j] + 0.0);
-      out[2 * j + 1] += sigma * (px[j] * m[j] + 0.0);
+    // libstdc++'s mult = sqrt(-2 * log(r2) / r2): log is the one scalar
+    // step, called once per pair whose values are kept — every pair when
+    // writing, only a split last pair's spare when skipping.
+    const std::size_t first = out ? 0 : full;
+    for (std::size_t j = first; j < got; ++j) m[j] = std::log(r2[j]);
+    kernels::active().polar_scale(m + first, r2 + first, got - first);
+    if (out) {
+      Real* o = out + i;
+      for (std::size_t j = 0; j < full; ++j) {
+        o[2 * j] += sigma * (py[j] * m[j] + 0.0);
+        o[2 * j + 1] += sigma * (px[j] * m[j] + 0.0);
+      }
     }
     i += 2 * full;
     if (full < got) {
-      x[i++] += sigma * (py[full] * m[full] + 0.0);
+      if (out) out[i] += sigma * (py[full] * m[full] + 0.0);
+      ++i;
       spare_ = px[full] * m[full];
       spare_available_ = true;
     }

@@ -136,6 +136,12 @@ class Rng {
   /// scalar step per consumed pair.
   void add_gaussian(std::span<Real> x, Real sigma);
 
+  /// Advances exactly as `add_gaussian` over `n` samples would — the same
+  /// polar walk, engine index and carried spare — without producing the
+  /// values: only a pair split at the end takes its log and scale, because
+  /// its x half becomes the spare.
+  void skip_gaussian(std::size_t n);
+
   /// Uniform in [0, 1).
   Real uniform() { return engine_.canonical(); }
 
@@ -168,6 +174,10 @@ class Rng {
   void load(std::istream& is);
 
  private:
+  /// The one draw loop behind add_gaussian (out non-null: adds
+  /// sigma * gaussian() to out[0..n)) and skip_gaussian (out null).
+  void draw_gaussian(Real* out, std::size_t n, Real sigma);
+
   Mt19937_64 engine_;
   Real spare_ = 0.0;
   bool spare_available_ = false;

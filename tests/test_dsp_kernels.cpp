@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <random>
 #include <span>
 #include <sstream>
@@ -606,6 +607,40 @@ TEST(KernelUsers, OscillatorEntryPointsAgreeAtAnySplit) {
     ASSERT_TRUE(bit_equal(by_next.phase(), ref_phase)) << f;
     ASSERT_TRUE(bit_equal(by_block.phase(), ref_phase)) << f;
     ASSERT_TRUE(bit_equal(by_acc.phase(), ref_phase)) << f;
+  }
+}
+
+TEST(KernelUsers, OscillatorAdvanceMatchesPhasesAtAnySplit) {
+  // advance(n) must leave the phase exactly where phases() over the same n
+  // samples does, whatever the two sides' block splits (empty, below, at
+  // and across the 256-sample stack chunk), across frequency hops.
+  constexpr Real kFs = 2.0e6;
+  const Real hops[] = {230.0e3, 180.0e3, 12345.678, 230.0e3};
+  constexpr std::size_t kPerHop = 5003;
+  std::mt19937 rng(11);
+  Oscillator by_phases(kFs, hops[0]), by_advance(kFs, hops[0]);
+  by_phases.reset_phase(2.5);
+  by_advance.reset_phase(2.5);
+  const auto split = [&](std::size_t left) {
+    const std::size_t sizes[] = {0, 1, 255, 256, 257, 700, rng() % 1024};
+    return std::min<std::size_t>(sizes[rng() % std::size(sizes)], left);
+  };
+  for (Real f : hops) {
+    by_phases.set_frequency(f);
+    by_advance.set_frequency(f);
+    Signal ph;
+    for (std::size_t done = 0; done < kPerHop;) {
+      ph.resize(split(kPerHop - done));
+      by_phases.phases(ph);
+      done += ph.size();
+    }
+    for (std::size_t done = 0; done < kPerHop;) {
+      const std::size_t n = split(kPerHop - done);
+      by_advance.advance(n);
+      done += n;
+    }
+    ASSERT_TRUE(bit_equal(by_advance.phase(), by_phases.phase())) << f;
+    ASSERT_TRUE(bit_equal(by_advance.next(0.9), by_phases.next(0.9))) << f;
   }
 }
 

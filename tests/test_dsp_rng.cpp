@@ -217,6 +217,44 @@ TEST(RngEquivalence, BlockCallsAtEveryIndexAroundTheTwist) {
   }
 }
 
+TEST(RngEquivalence, SkipLeavesTheStateAddLeaves) {
+  // skip_gaussian(n) must consume exactly the draws add_gaussian over n
+  // samples does — the same engine index and the same carried spare, so
+  // the checkpoint text and every later draw match — from each index
+  // around the twist, with and without a spare, at sizes that end on
+  // both parities and across state blocks.
+  const std::size_t sizes[] = {0, 1, 2, 3, 255, 256, 257, 311, 312, 313, 700};
+  for (std::size_t index = 300; index <= Mt19937_64::kN; ++index) {
+    for (const bool spare : {false, true}) {
+      std::mt19937_64 eng(57);
+      eng.discard(Mt19937_64::kN + index);
+      std::ostringstream text;
+      text << eng << " 0.00000000000000000e+00 1.00000000000000000e+00 "
+           << (spare ? "1 -3.25e-01" : "0")
+           << " 0.00000000000000000e+00 1.00000000000000000e+00";
+      for (const std::size_t n : sizes) {
+        Rng added(1), skipped(1);
+        load_text(added, text.str());
+        load_text(skipped, text.str());
+        std::vector<Real> x(n, 0.0);
+        skipped.skip_gaussian(n);
+        added.add_gaussian(x, 0.7);
+        ASSERT_EQ(text_of(skipped), text_of(added))
+            << "index " << index << " spare " << spare << " n " << n;
+        std::vector<Real> a(9, 0.0), b(9, 0.0);
+        added.add_gaussian(a, 1.0);
+        skipped.add_gaussian(b, 1.0);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          ASSERT_EQ(bits(a[i]), bits(b[i]))
+              << "index " << index << " spare " << spare << " n " << n;
+        }
+        ASSERT_EQ(bits(skipped.gaussian()), bits(added.gaussian()));
+        ASSERT_EQ(bits(skipped.uniform()), bits(added.uniform()));
+      }
+    }
+  }
+}
+
 TEST(RngEquivalence, CopiesAndReloadsContinueMidSequence) {
   // Leave the generator mid-block with a spare cached, then continue the
   // original, a copy and a save/load round trip: all three must follow the
