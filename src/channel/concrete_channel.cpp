@@ -254,6 +254,15 @@ void ConcreteChannel::UplinkStream::push_block(Signal& x) {
   channel_->run_uplink_si_noise(si_, si_amplitude_, rng_, x);
 }
 
+void ConcreteChannel::UplinkStream::advance_block(Signal& x) {
+  if (x.empty()) return;
+  // The resonator's state depends on its input, so it runs as in
+  // push_block; the SI phase and the noise draws depend only on the count.
+  channel_->run_uplink_propagate(resonator_, x);
+  si_.advance(x.size());
+  rng_.skip_gaussian(x.size());
+}
+
 template <class Self, class Ar>
 void ConcreteChannel::DownlinkStream::io(Self& self, Ar& ar) {
   ar.field("dls.pos", self.pos_);

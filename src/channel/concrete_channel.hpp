@@ -143,6 +143,12 @@ class ConcreteChannel {
     /// at-reader waveform on exit.
     void push_block(Signal& x);
 
+    /// Leave the carried state exactly where push_block(x) would, without
+    /// the at-reader waveform: the resonator still filters x, but the SI
+    /// sines and the noise values are skipped (the oscillator and the RNG
+    /// only advance). x is left holding unspecified samples.
+    void advance_block(Signal& x);
+
     /// Bit-exact carried-state round trip (biquad, SI oscillator phase,
     /// noise RNG).
     void save(dsp::ser::Writer& w) const;

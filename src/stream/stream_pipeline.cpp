@@ -165,7 +165,13 @@ void StreamPipeline::run_inline(std::uint64_t until) {
     tx_.fill_block(n, block_);
     dl_.push_block(block_);
     node_.push_block(block_);
-    ul_.push_block(block_);
+    // Outside capture windows the receiver never looks at the at-reader
+    // samples, so the uplink only carries its state forward.
+    if (rx_.reads(pos_, pos_ + n)) {
+      ul_.push_block(block_);
+    } else {
+      ul_.advance_block(block_);
+    }
     rx_.push_block(block_);
     pos_ += n;
     clock_.advance(n);
@@ -188,6 +194,10 @@ void StreamPipeline::run_threaded(std::uint64_t until) {
   // after all threads joined; the pipeline's carried state is then
   // inconsistent mid-segment, so the owner must discard or resume it from
   // a checkpoint, never keep advancing.
+  //
+  // The uplink always takes the full push here: which blocks a capture
+  // reads is decided by the rx thread's pending windows, so the uplink
+  // thread cannot consult them (run_inline does).
   const std::uint64_t total = until - pos_;
   const std::uint64_t nblocks =
       (total + config_.block_size - 1) / config_.block_size;

@@ -194,6 +194,14 @@ void UplinkStage::push_block(Signal& x) {
   injector_.clip_adc(x);
 }
 
+void UplinkStage::advance_block(Signal& x) {
+  if (injector_.active()) {
+    push_block(x);
+  } else {
+    stream_.advance_block(x);
+  }
+}
+
 void UplinkStage::set_injector(fault::Injector injector) {
   injector_ = std::move(injector);
 }
@@ -263,6 +271,13 @@ void RxStage::push_block(const Signal& x) {
     }
   }
   pos_ = hi;
+}
+
+bool RxStage::reads(std::uint64_t lo, std::uint64_t hi) const {
+  if (tap_) return true;
+  return std::any_of(pending_.begin(), pending_.end(), [&](const Pending& p) {
+    return p.w.start < hi && p.w.end > lo;
+  });
 }
 
 std::vector<DecodedUplink> RxStage::drain_decodes() {

@@ -185,13 +185,20 @@ class NodeStage {
 
 /// Uplink stage: the channel's streaming uplink (fixed SI amplitude — a
 /// live reader knows its own CBW drive level) plus the channel-layer
-/// injector and the reader ADC clipper.
+/// injector and the reader ADC clipper. A block nothing reads (see
+/// RxStage::reads) may go through `advance_block` instead, which leaves
+/// the same carried state without building the at-reader waveform.
 class UplinkStage {
  public:
   UplinkStage(const channel::ConcreteChannel& channel, Real carrier_frequency,
               Real si_amplitude, std::uint64_t noise_seed);
 
   void push_block(Signal& x);
+  /// State-only push: exactly the carried state push_block(x) leaves, with
+  /// x left holding unspecified samples. While the injector is active this
+  /// is push_block, because its burst draws and clip counter depend on the
+  /// waveform.
+  void advance_block(Signal& x);
   void set_injector(fault::Injector injector);
   fault::Injector& injector() { return injector_; }
 
@@ -214,7 +221,10 @@ class UplinkStage {
 /// window's buffer is kept as the spare of every RxStage on the calling
 /// thread, so a warm thread allocates no capture storage per window, and
 /// readers polled in turn on one thread keep one window's storage between
-/// them rather than one per stage.
+/// them rather than one per stage. Both savings are inline-mode only: the
+/// threaded pipeline always pushes the full uplink (its rx thread changes
+/// the pending windows `reads` looks at), and its rx thread's spare is
+/// freed when that thread ends with the segment.
 class RxStage {
  public:
   explicit RxStage(const reader::ReceiverConfig& config);
@@ -223,6 +233,11 @@ class RxStage {
   void schedule(CaptureWindow w);
 
   void push_block(const Signal& x);
+
+  /// Whether a push of the samples [lo, hi) reads their values: a tap is
+  /// set or a pending window overlaps them. When false, push_block only
+  /// advances the position, whatever the samples hold.
+  bool reads(std::uint64_t lo, std::uint64_t hi) const;
 
   /// Take the decodes completed since the last drain. Only call while the
   /// pipeline is idle (between segments).

@@ -6,10 +6,12 @@
 // any block size and in threaded vs inline mode.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,9 +19,12 @@
 #include "core/spsc_ring.hpp"
 #include "core/stream_clock.hpp"
 #include "dsp/rng.hpp"
+#include "dsp/serialize.hpp"
 #include "dsp/signal_ops.hpp"
 #include "fault/fault.hpp"
+#include "phy/bits.hpp"
 #include "phy/carrier.hpp"
+#include "phy/fm0.hpp"
 #include "stream/stream_pipeline.hpp"
 #include "stream/streaming_reader.hpp"
 
@@ -244,6 +249,48 @@ TEST(UplinkStream, BitIdenticalToBatchAtAnyBlockSize) {
   }
 }
 
+std::string uplink_state(
+    const ecocap::channel::ConcreteChannel::UplinkStream& stream) {
+  ecocap::dsp::ser::Writer w("uplink-state");
+  stream.save(w);
+  return w.payload();
+}
+
+TEST(UplinkStream, AdvanceBlockLeavesPushBlockState) {
+  // A stream that takes advance_block for every other block carries the
+  // same biquad, SI phase and noise RNG as one that pushes every block, so
+  // the next pushed block is byte-identical.
+  const auto system = ecocap::core::default_system();
+  ecocap::channel::ConcreteChannel channel(system.structure, system.channel);
+  const Signal x = test_waveform(9000, 44);
+  const Real carrier = system.channel.concrete_resonance;
+  for (std::size_t block : {7u, 64u, 256u, 4096u}) {
+    ecocap::channel::ConcreteChannel::UplinkStream pushed(channel, carrier,
+                                                          0.05, 779);
+    ecocap::channel::ConcreteChannel::UplinkStream skipped(channel, carrier,
+                                                           0.05, 779);
+    Signal a, b;
+    for (std::size_t i = 0, k = 0; i < x.size(); i += block, ++k) {
+      const std::size_t n = std::min(block, x.size() - i);
+      a.assign(x.begin() + static_cast<std::ptrdiff_t>(i),
+               x.begin() + static_cast<std::ptrdiff_t>(i + n));
+      b = a;
+      pushed.push_block(a);
+      if (k % 2 == 0) {
+        skipped.advance_block(b);
+      } else {
+        skipped.push_block(b);
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(a[j], b[j]) << "block size " << block << " sample "
+                                << i + j;
+        }
+      }
+      ASSERT_EQ(uplink_state(skipped), uplink_state(pushed))
+          << "block size " << block << " after sample " << i + n;
+    }
+  }
+}
+
 TEST(UplinkStream, RejectsPreserveAbsoluteDelay) {
   auto system = ecocap::core::default_system();
   system.channel.preserve_absolute_delay = true;
@@ -455,6 +502,151 @@ TEST(StreamingDaemon, MidRunFaultPlanPerturbsTheLiveStream) {
   EXPECT_TRUE(injector.active());
   EXPECT_GT(stats.sim_seconds, 0.0);
   EXPECT_GT(stats.real_time_factor, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// State-only uplink: blocks no capture window reads skip the waveform
+// ---------------------------------------------------------------------------
+
+// A tap reads every block, so a tapped pipeline takes the full uplink push
+// everywhere; an untapped one advances the uplink's state only outside
+// capture windows. Everything observable must agree.
+
+bool same_decode(const ecocap::stream::DecodedUplink& a,
+                 const ecocap::stream::DecodedUplink& b) {
+  const auto same = [](Real x, Real y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  return a.node_id == b.node_id && a.window_start == b.window_start &&
+         a.decode.payload == b.decode.payload &&
+         a.decode.valid == b.decode.valid &&
+         same(a.decode.carrier_estimate, b.decode.carrier_estimate) &&
+         same(a.decode.preamble_correlation, b.decode.preamble_correlation) &&
+         same(a.decode.snr_db, b.decode.snr_db) &&
+         same(a.decode.frame_start_s, b.decode.frame_start_s);
+}
+
+struct PipelineRun {
+  std::vector<ecocap::stream::DecodedUplink> decodes;
+  std::vector<std::string> checkpoints;  // quiescent text after each frame
+};
+
+// Frames on the raw pipeline: capture windows open before and close after
+// their emissions at offsets that fall mid-block at every block size, with
+// idle stretches between them. With `faults`, the second frame runs under
+// a live channel fault plan (the uplink injector is active) and the third
+// after it is cleared again.
+PipelineRun run_frames(std::size_t block_size, bool tapped, bool faults) {
+  ecocap::stream::StreamConfig config;
+  config.system = ecocap::core::default_system();
+  config.block_size = block_size;
+  ecocap::stream::StreamPipeline pipeline(config);
+  if (tapped) pipeline.set_rx_tap([](std::uint64_t, const Signal&) {});
+  const Real fs = pipeline.fs();
+  const ecocap::phy::Fm0Params line =
+      config.system.capsule.firmware.uplink;
+  ecocap::dsp::Rng bits(91);
+  PipelineRun run;
+  pipeline.advance_to(static_cast<std::uint64_t>(0.5 * fs) + 129);  // charge
+  for (int k = 0; k < 3; ++k) {
+    if (faults && k == 1) {
+      pipeline.set_fault_plan(ecocap::fault::FaultPlan::at_intensity(0.6));
+    }
+    if (faults && k == 2) pipeline.set_fault_plan(ecocap::fault::FaultPlan{});
+    const ecocap::phy::Bits payload = ecocap::phy::random_bits(32, bits);
+    ecocap::stream::ScheduledEmission e;
+    e.start = pipeline.position() + 20011 + 977 * static_cast<unsigned>(k);
+    ecocap::phy::fm0_encode_frame(payload, line, fs, e.switching);
+    ecocap::stream::CaptureWindow w;
+    w.start = e.start - 123;
+    w.end = e.start + static_cast<std::uint64_t>(
+                          ecocap::phy::fm0_frame_seconds(payload.size(), line,
+                                                         line.bitrate) *
+                          fs) +
+            4567;
+    w.payload_bits = payload.size();
+    w.bitrate = line.bitrate;
+    pipeline.schedule_emission(std::move(e));
+    pipeline.schedule_capture(w);
+    pipeline.advance_to(w.end + 30011, &run.decodes);
+    pipeline.drain_node_events();
+    ecocap::dsp::ser::Writer cp("pipeline");
+    pipeline.save(cp);
+    run.checkpoints.push_back(cp.payload());
+  }
+  return run;
+}
+
+TEST(StreamPipeline, UnreadUplinkBlocksAdvanceStateExactly) {
+  for (const bool faults : {false, true}) {
+    for (std::size_t block : {64u, 256u, 4096u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "block=" << block << " faults=" << faults);
+      const PipelineRun full = run_frames(block, true, faults);
+      const PipelineRun lean = run_frames(block, false, faults);
+      ASSERT_EQ(full.decodes.size(), 3u);
+      ASSERT_EQ(lean.decodes.size(), full.decodes.size());
+      for (std::size_t i = 0; i < full.decodes.size(); ++i) {
+        EXPECT_TRUE(same_decode(lean.decodes[i], full.decodes[i]))
+            << "decode " << i;
+      }
+      if (!faults) {
+        EXPECT_TRUE(full.decodes[0].decode.valid);
+      }
+      EXPECT_EQ(lean.checkpoints, full.checkpoints);
+    }
+  }
+}
+
+struct PolledRun {
+  ecocap::reader::StreamingReaderStats stats;
+  std::vector<std::string> checkpoints;  // after every poll
+  std::string store;                     // flushed telemetry node bytes
+};
+
+PolledRun run_polled(std::size_t block_size, bool tapped, bool faults) {
+  auto config = daemon_config(block_size, false);
+  if (faults) {
+    // Channel faults from 0.75 s (the uplink injector goes live), cleared
+    // from 1.25 s: the run crosses both ways between the paths.
+    ecocap::reader::StreamFaultEvent on;
+    on.at_s = 0.75;
+    on.plan = ecocap::fault::FaultPlan::at_intensity(0.6);
+    ecocap::reader::StreamFaultEvent off;
+    off.at_s = 1.25;
+    config.fault_events = {on, off};
+  }
+  ecocap::reader::StreamingReader daemon(config);
+  if (tapped) daemon.pipeline().set_rx_tap([](std::uint64_t, const Signal&) {});
+  PolledRun run;
+  for (int poll = 0; poll < 6; ++poll) {
+    run.stats = daemon.run_polls(1);
+    run.checkpoints.push_back(daemon.checkpoint());
+  }
+  daemon.flush_telemetry();
+  ecocap::dsp::ser::Writer w("store");
+  daemon.telemetry().save_node(daemon.store_node(), w);
+  run.store = w.payload();
+  return run;
+}
+
+TEST(StreamingDaemon, UntappedRunMatchesTappedRun) {
+  for (const bool faults : {false, true}) {
+    for (std::size_t block : {64u, 256u, 4096u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "block=" << block << " faults=" << faults);
+      const PolledRun full = run_polled(block, true, faults);
+      const PolledRun lean = run_polled(block, false, faults);
+      EXPECT_GT(full.stats.delivered, 0u);
+      EXPECT_EQ(lean.stats.delivered, full.stats.delivered);
+      EXPECT_EQ(lean.stats.missed, full.stats.missed);
+      EXPECT_EQ(lean.stats.frames_scheduled, full.stats.frames_scheduled);
+      EXPECT_EQ(lean.stats.fault_events_applied,
+                full.stats.fault_events_applied);
+      EXPECT_EQ(lean.checkpoints, full.checkpoints);
+      EXPECT_EQ(lean.store, full.store);
+    }
+  }
 }
 
 TEST(StreamPipeline, ValidatesConfigAndSchedule) {
