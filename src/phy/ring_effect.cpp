@@ -44,26 +44,29 @@ RingingPzt::RingingPzt(Real fs, Real resonance, Real q, Real direct_mix,
 }
 
 Signal RingingPzt::drive(std::span<const Real> excitation) {
-  Signal out(excitation.size());
-  for (std::size_t i = 0; i < excitation.size(); ++i) {
-    out[i] = process(excitation[i]);
-  }
+  Signal out(excitation.begin(), excitation.end());
+  drive_inplace(out);
   return out;
 }
 
 void RingingPzt::drive_inplace(std::span<Real> excitation) {
-  for (Real& v : excitation) v = process(v);
-}
-
-Real RingingPzt::process(Real x) {
-  const Real a = std::abs(x);
-  env_ = std::max(a, env_ * env_decay_);
-  peak_ = std::max(env_, peak_ * peak_decay_);
-  const bool driven = (peak_ > 1e-12) && (env_ > 0.25 * peak_);
-  const Real rho = driven ? rho_loaded_ : rho_free_;
-  s_ = s_ * (rho * rot_) + std::complex<Real>(x, 0.0);
-  const Real resonant = out_gain_ * s_.real();
-  return (1.0 - mix_) * x + mix_ * resonant;
+  // The recurrence state lives in locals for the block, so a sample's store
+  // cannot alias it back to memory on the serial chain.
+  std::complex<Real> s = s_;
+  Real env = env_, peak = peak_;
+  for (Real& v : excitation) {
+    const Real x = v;
+    env = std::max(std::abs(x), env * env_decay_);
+    peak = std::max(env, peak * peak_decay_);
+    const bool driven = (peak > 1e-12) && (env > 0.25 * peak);
+    const Real rho = driven ? rho_loaded_ : rho_free_;
+    s = s * (rho * rot_) + std::complex<Real>(x, 0.0);
+    const Real resonant = out_gain_ * s.real();
+    v = (1.0 - mix_) * x + mix_ * resonant;
+  }
+  s_ = s;
+  env_ = env;
+  peak_ = peak;
 }
 
 void RingingPzt::reset() {

@@ -53,7 +53,6 @@ class RingingPzt {
   /// the electrical buffer becomes the acoustic one).
   void drive_inplace(std::span<Real> excitation);
 
-  Real process(Real x);
   void reset();
 
   Real resonance() const { return resonance_; }
