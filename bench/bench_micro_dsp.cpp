@@ -39,6 +39,7 @@
 #include "wave/fdtd.hpp"
 #include "phy/carrier.hpp"
 #include "phy/fm0.hpp"
+#include "phy/ring_effect.hpp"
 #include "reader/receiver.hpp"
 #include "reader/transmitter.hpp"
 
@@ -678,6 +679,44 @@ void record_headline_metrics(ecocap::bench::BenchJson& json) {
                   ch.uplink(x, 230.0e3, rng, y);
                   benchmark::DoNotOptimize(y.data());
                 }));
+
+    // The streaming uplink at the stream's block size: the full push (the
+    // at-reader waveform) vs the state-only advance the inline pipeline
+    // takes for blocks no capture window reads.
+    channel::ConcreteChannel::UplinkStream stream(ch, 230.0e3, 0.01, 3);
+    dsp::Signal block(256);
+    const auto per_block = [&](auto&& push) {
+      return time_ns([&] {
+               for (std::size_t i = 0; i < x.size(); i += block.size()) {
+                 std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(i),
+                             block.size(), block.begin());
+                 push(block);
+               }
+               benchmark::DoNotOptimize(block.data());
+             }) /
+             static_cast<double>(x.size());
+    };
+    json.metric("uplink_block256_ns_per_sample",
+                per_block([&](dsp::Signal& b) { stream.push_block(b); }));
+    json.metric("uplink_state_only256_ns_per_sample",
+                per_block([&](dsp::Signal& b) { stream.advance_block(b); }));
+
+    // The transmit PZT ring on a keyed OOK drive (1 ms on, 1 ms off) in
+    // 256-sample blocks, as TxStage and the batch Transmitter run it.
+    dsp::Signal drive = dsp::tone(cfg.fs, 230.0e3, x.size(), 1.0);
+    for (std::size_t i = 0; i < drive.size(); ++i) {
+      if ((i / 2000) % 2 == 1) drive[i] = 0.0;
+    }
+    phy::RingingPzt pzt(cfg.fs);
+    json.metric("pzt_drive256_ns_per_sample", time_ns([&] {
+                  for (std::size_t i = 0; i < drive.size(); i += 256) {
+                    std::copy_n(drive.begin() +
+                                    static_cast<std::ptrdiff_t>(i),
+                                256, block.begin());
+                    pzt.drive_inplace(block);
+                  }
+                  benchmark::DoNotOptimize(block.data());
+                }) / static_cast<double>(drive.size()));
   }
 
   // End-to-end interrogation through the zero-copy stage pipeline: the

@@ -115,10 +115,11 @@ FLEET_INGEST_UNDER_QUERY_FLOOR = 50_000.0
 # Streaming real-time factor floor, on the inline block-256 run the
 # daemons use (one thread, so enforced on every host). bench_stream's
 # real_time_factor measured 4.7-4.9 before the decimating receiver front
-# end and 5.8-10 after it (then the threaded run on >= 4-thread hosts), on
-# a 4-core container in Release; 2 leaves a wide margin while catching the
-# decoder or a stream stage sliding back toward real time.
-STREAM_RTF_FLOOR = 2.0
+# end, 5.8-10 after it, and 8.3 with the state-only uplink outside capture
+# windows (6.8 on the scalar kernel table), on a 4-core AVX2 container in
+# Release; 4 is about half of that, so it still holds on the scalar table
+# and catches the decoder or a stream stage sliding back.
+STREAM_RTF_FLOOR = 4.0
 
 # Self-healing runtime ceilings (checked only on >= 4-thread hosts).
 # Recovery latency measured ~9 ms worst-case on a loaded 1-core container
