@@ -10,7 +10,12 @@
 namespace ecocap::dsp {
 
 Biquad::Biquad(Real b0, Real b1, Real b2, Real a1, Real a2)
-    : b0_(b0), b1_(b1), b2_(b2), a1_(a1), a2_(a2) {}
+    : b0_(b0),
+      b1_(b1),
+      b2_(b2),
+      a1_(a1),
+      a2_(a2),
+      lookahead_(kernels::biquad_lookahead(b0, b1, b2, a1, a2)) {}
 
 namespace {
 struct RbjPrelude {
@@ -59,15 +64,6 @@ Biquad Biquad::notch(Real fs, Real f0, Real q) {
                 (1.0 - p.alpha) / a0);
 }
 
-Real Biquad::process(Real x) {
-  const Real y = b0_ * x + b1_ * x1_ + b2_ * x2_ - a1_ * y1_ - a2_ * y2_;
-  x2_ = x1_;
-  x1_ = x;
-  y2_ = y1_;
-  y1_ = y;
-  return y;
-}
-
 Signal Biquad::process(std::span<const Real> x) {
   Signal out;
   process(x, out);
@@ -78,16 +74,9 @@ void Biquad::process(std::span<const Real> x, Signal& out) {
   // In-place callers pass out.size() == x.size(), so the resize never
   // reallocates under the input span.
   out.resize(x.size());
-  const kernels::BiquadCoeffs c{b0_, b1_, b2_, a1_, a2_};
-  kernels::BiquadState s{x1_, x2_, y1_, y2_};
-  kernels::active().biquad(x.data(), out.data(), x.size(), c, s);
-  x1_ = s.x1;
-  x2_ = s.x2;
-  y1_ = s.y1;
-  y2_ = s.y2;
+  kernels::active().biquad(x.data(), out.data(), x.size(), lookahead_,
+                           state_);
 }
-
-void Biquad::reset() { x1_ = x2_ = y1_ = y2_ = 0.0; }
 
 Real Biquad::magnitude_at(Real fs, Real f) const {
   const Real w = kTwoPi * f / fs;
@@ -125,10 +114,13 @@ void OnePoleLowpass::process(std::span<const Real> x, Signal& out) {
 
 template <class Self, class Ar>
 void Biquad::io(Self& self, Ar& ar) {
-  ar.field("bq.x1", self.x1_);
-  ar.field("bq.x2", self.x2_);
-  ar.field("bq.y1", self.y1_);
-  ar.field("bq.y2", self.y2_);
+  static constexpr const char* kX[8] = {"bq.x1", "bq.x2", "bq.x3", "bq.x4",
+                                        "bq.x5", "bq.x6", "bq.x7", "bq.x8"};
+  static constexpr const char* kY[8] = {"bq.y1", "bq.y2", "bq.y3", "bq.y4",
+                                        "bq.y5", "bq.y6", "bq.y7", "bq.y8"};
+  // The state arrays run oldest first; the records newest first.
+  for (int k = 0; k < 8; ++k) ar.field(kX[k], self.state_.x[7 - k]);
+  for (int k = 0; k < 8; ++k) ar.field(kY[k], self.state_.y[7 - k]);
 }
 
 void Biquad::save(ser::Writer& w) const { io(*this, w); }

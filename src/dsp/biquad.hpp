@@ -2,6 +2,7 @@
 
 #include <span>
 
+#include "dsp/kernels/kernels.hpp"
 #include "dsp/types.hpp"
 
 namespace ecocap::dsp::ser {
@@ -11,9 +12,10 @@ class Reader;
 
 namespace ecocap::dsp {
 
-/// Second-order IIR section (direct form I), designed with the RBJ audio-EQ
-/// cookbook formulas. Biquads model the *analog* parts of the system — the
-/// PZT mechanical resonance and the envelope-detector RC — where a long FIR
+/// Second-order IIR section, designed with the RBJ audio-EQ cookbook
+/// formulas and run in the kernel table's M = 4 look-ahead form
+/// (`kernels::BiquadCoeffs`). Biquads model the *analog* parts of the
+/// system — the concrete and PZT mechanical resonances — where a long FIR
 /// would be the wrong physical abstraction.
 class Biquad {
  public:
@@ -32,25 +34,28 @@ class Biquad {
   /// Notch rejecting f0.
   static Biquad notch(Real fs, Real f0, Real q);
 
-  Real process(Real x);
   Signal process(std::span<const Real> x);
   /// Filter into a caller-provided buffer (resized to match). `out` may be
-  /// the buffer `x` views for an in-place pass — direct form I reads each
-  /// sample before writing it.
+  /// the buffer `x` views for an in-place pass — the kernel keeps its own
+  /// copy of the input history. Any split of a stream into calls gives the
+  /// same bytes as one call.
   void process(std::span<const Real> x, Signal& out);
-  void reset();
+  void reset() { state_ = {}; }
 
   /// Magnitude response at frequency f (Hz) for sample rate fs.
   Real magnitude_at(Real fs, Real f) const;
 
-  /// Bit-exact filter-state round trip (coefficients are config, not state).
+  /// Bit-exact filter-state round trip (coefficients are config, not state):
+  /// the last eight inputs and outputs, `bq.x1`..`bq.x8` and
+  /// `bq.y1`..`bq.y8` with x1 the newest.
   void save(ser::Writer& w) const;
   void load(ser::Reader& r);
 
  private:
   template <class Self, class Ar> static void io(Self& self, Ar& ar);
   Real b0_, b1_, b2_, a1_, a2_;
-  Real x1_ = 0.0, x2_ = 0.0, y1_ = 0.0, y2_ = 0.0;
+  kernels::BiquadCoeffs lookahead_;
+  kernels::BiquadState state_;
 };
 
 /// Single-pole RC low-pass, the behavioural model of the envelope detector's

@@ -37,10 +37,14 @@ namespace ecocap::dsp::kernels {
 ///    sequential sum; callers that migrate to it accept a one-time, golden-
 ///    regenerated drift and validate against a sequential reference under
 ///    the documented tolerance (see docs/benchmarks.md, "tolerance mode").
-///  * **Recurrences**: the biquad keeps the exact direct-form-I update of
-///    the seed implementation (bit-identical). The one-pole low-pass and
-///    the envelope detector use a canonical *block-scan* form (blocks of 4
-///    with precomputed decay powers) whose lane arithmetic is replicated
+///  * **Recurrences**: the biquad runs in an M = 4 scattered look-ahead
+///    form (an order-8 FIR prefilter and a denominator in z^-4 and z^-8
+///    only), one fixed per-sample expression that the scalar table and
+///    every SIMD lane evaluate alike, so it is bit-identical across tables
+///    and block splits, and toleranced against the direct-form-I
+///    recurrence it replaces. The one-pole low-pass and the envelope
+///    detector use a canonical *block-scan* form (blocks of 4 with
+///    precomputed decay powers) whose lane arithmetic is replicated
 ///    exactly by the scalar table — again bit-identical across tables, and
 ///    toleranced against the sequential RC recurrence.
 ///
@@ -63,14 +67,26 @@ const char* isa_name(Isa isa);
 /// Words of MT19937-64 state (std::mt19937_64's n).
 inline constexpr std::size_t kMtStateWords = 312;
 
-/// RBJ biquad coefficients, already normalized by a0.
+/// A biquad (b0 + b1 z^-1 + b2 z^-2) / (1 + a1 z^-1 + a2 z^-2) in M = 4
+/// scattered look-ahead form (Parhi & Messerschmitt, IEEE TASSP 1989): the
+/// same transfer function with numerator and denominator multiplied by
+/// D(-z) D2(-z), where D2(z^2) = D(z) D(-z), so that
+///   y[n] = sum_{k=0..8} g[k] x[n-k] - a4 y[n-4] - a8 y[n-8].
+/// Outputs four apart no longer depend on each other: four chains run side
+/// by side. `biquad_lookahead` derives g, a4 and a8.
 struct BiquadCoeffs {
-  Real b0, b1, b2, a1, a2;
+  Real g[9];
+  Real a4, a8;
 };
 
-/// Direct-form-I delay state. Layout matches the seed Biquad members.
+/// Look-ahead form of the biquad with these (a0-normalized) coefficients.
+BiquadCoeffs biquad_lookahead(Real b0, Real b1, Real b2, Real a1, Real a2);
+
+/// Look-ahead biquad state: the last eight inputs and the last eight
+/// outputs, oldest first (x[7] is x[n-1]).
 struct BiquadState {
-  Real x1 = 0.0, x2 = 0.0, y1 = 0.0, y2 = 0.0;
+  Real x[8] = {};
+  Real y[8] = {};
 };
 
 /// One row of the staggered-grid velocity update (Virieux P-SV). All
@@ -127,8 +143,13 @@ struct KernelTable {
   void (*correlate_valid)(const Real* x, std::size_t nx, const Real* h,
                           std::size_t nh, Real* out);
 
-  /// Direct-form-I biquad over a buffer; `y` may equal `x` (each sample is
-  /// read before it is written). Bit-identical to the seed per-sample path.
+  /// Look-ahead biquad over a buffer; `y` may equal `x` (the kernel keeps
+  /// the input history itself). Every output is
+  ///   f = ((g0*x0 + g1*x1) + (g2*x2 + g3*x3))
+  ///       + ((g4*x4 + g5*x5) + (g6*x6 + g7*x7))
+  ///   y = ((f + g8*x8) - a8*y8) - a4*y4
+  /// with xk = x[n-k] and yk = y[n-k], so the result does not depend on the
+  /// table or on how a stream is split into calls.
   void (*biquad)(const Real* x, Real* y, std::size_t n,
                  const BiquadCoeffs& c, BiquadState& s);
 
@@ -192,12 +213,5 @@ Isa active_isa();
 /// true and writes `out` on a recognized name ("auto" reports the best
 /// available ISA); false on anything else.
 bool isa_from_name(const char* name, Isa& out);
-
-/// Convenience: run a cascade of biquad sections over a buffer through the
-/// active table. Section 0 reads `x` into `y`; later sections run in place
-/// on `y`.
-void biquad_cascade(const Real* x, Real* y, std::size_t n,
-                    const BiquadCoeffs* coeffs, BiquadState* states,
-                    std::size_t sections);
 
 }  // namespace ecocap::dsp::kernels

@@ -1,8 +1,9 @@
 // AVX2 kernel table (4-wide double). Every loop reproduces the canonical
 // scalar table's arithmetic bit-for-bit: the striped dot keeps residues
 // 0..3 in one accumulator vector and 4..7 in a second, the one-pole
-// block-scan maps each scalar lane expression onto one vector lane, and the
-// FDTD stencils are straight per-lane transcriptions. Only separate
+// block-scan maps each scalar lane expression onto one vector lane, the
+// look-ahead biquad runs its four independent chains in the four lanes, and
+// the FDTD stencils are straight per-lane transcriptions. Only separate
 // _mm256_mul_pd/_mm256_add_pd are used — never an FMA intrinsic — and the
 // TU is compiled with -ffp-contract=off, so the compiler cannot fuse one in
 // behind our back.
@@ -53,10 +54,56 @@ void correlate_valid(const Real* x, std::size_t nx, const Real* h,
 
 void biquad(const Real* x, Real* y, std::size_t n, const BiquadCoeffs& c,
             BiquadState& s) {
-  // A direct-form-I recurrence has a loop-carried dependency on every
-  // sample; there is nothing for 4-wide SIMD to do. Use the canonical
-  // scalar loop (state in locals), which is the bit-identity reference.
-  scalar::biquad(x, y, n, c, s);
+  // Lane l of step t computes output 4t + l. sK holds the inputs x[n-K] of
+  // the four lanes: s0 is the fresh load, s4 and s8 the two before it, and
+  // the odd and two-apart shifts are cut from neighbouring vectors, so no
+  // slot is read back after the in-place store. s1..s4 of one step are
+  // s5..s8 of the next; y4 and y8 are the last two output vectors.
+  const std::size_t nv = n & ~std::size_t{3};
+  if (nv > 0) {
+    const auto k = [](Real v) { return _mm256_set1_pd(v); };
+    const __m256d g0 = k(c.g[0]), g1 = k(c.g[1]), g2 = k(c.g[2]);
+    const __m256d g3 = k(c.g[3]), g4 = k(c.g[4]), g5 = k(c.g[5]);
+    const __m256d g6 = k(c.g[6]), g7 = k(c.g[7]), g8 = k(c.g[8]);
+    const __m256d a4 = k(c.a4), a8 = k(c.a8);
+    __m256d s8 = _mm256_loadu_pd(s.x);
+    __m256d s4 = _mm256_loadu_pd(s.x + 4);
+    __m256d s6 = _mm256_permute2f128_pd(s8, s4, 0x21);
+    __m256d s5 = _mm256_shuffle_pd(s6, s4, 0x5);
+    __m256d s7 = _mm256_shuffle_pd(s8, s6, 0x5);
+    __m256d y8 = _mm256_loadu_pd(s.y);
+    __m256d y4 = _mm256_loadu_pd(s.y + 4);
+    for (std::size_t i = 0; i < nv; i += 4) {
+      const __m256d s0 = _mm256_loadu_pd(x + i);
+      const __m256d s2 = _mm256_permute2f128_pd(s4, s0, 0x21);
+      const __m256d s1 = _mm256_shuffle_pd(s2, s0, 0x5);
+      const __m256d s3 = _mm256_shuffle_pd(s4, s2, 0x5);
+      const __m256d f = _mm256_add_pd(
+          _mm256_add_pd(
+              _mm256_add_pd(_mm256_mul_pd(g0, s0), _mm256_mul_pd(g1, s1)),
+              _mm256_add_pd(_mm256_mul_pd(g2, s2), _mm256_mul_pd(g3, s3))),
+          _mm256_add_pd(
+              _mm256_add_pd(_mm256_mul_pd(g4, s4), _mm256_mul_pd(g5, s5)),
+              _mm256_add_pd(_mm256_mul_pd(g6, s6), _mm256_mul_pd(g7, s7))));
+      const __m256d yv = _mm256_sub_pd(
+          _mm256_sub_pd(_mm256_add_pd(f, _mm256_mul_pd(g8, s8)),
+                        _mm256_mul_pd(a8, y8)),
+          _mm256_mul_pd(a4, y4));
+      _mm256_storeu_pd(y + i, yv);
+      s8 = s4;
+      s7 = s3;
+      s6 = s2;
+      s5 = s1;
+      s4 = s0;
+      y8 = y4;
+      y4 = yv;
+    }
+    _mm256_storeu_pd(s.x, s8);
+    _mm256_storeu_pd(s.x + 4, s4);
+    _mm256_storeu_pd(s.y, y8);
+    _mm256_storeu_pd(s.y + 4, y4);
+  }
+  if (nv < n) scalar::biquad(x + nv, y + nv, n - nv, c, s);
 }
 
 namespace {

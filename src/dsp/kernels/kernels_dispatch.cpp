@@ -40,8 +40,8 @@ const KernelTable kAvx2Table = {
 const KernelTable kNeonTable = {
     Isa::kNeon,        neon::dot,
     neon::correlate_valid,
-    // A biquad is a serial recurrence; the canonical scalar loop IS the
-    // NEON implementation.
+    // Two lanes hold half a look-ahead step; the canonical scalar loop
+    // serves NEON.
     scalar::biquad,
     neon::onepole,     neon::envelope,
     neon::fdtd_velocity_row, neon::fdtd_stress_row,
@@ -103,6 +103,28 @@ const char* isa_name(Isa isa) {
       return "neon";
   }
   return "unknown";
+}
+
+BiquadCoeffs biquad_lookahead(Real b0, Real b1, Real b2, Real a1, Real a2) {
+  // D(z) D(-z) = 1 + e1 z^-2 + e2 z^-4 =: D2(z^2), and D2(v) D2(-v) has
+  // only even powers of v = z^-2. So P(z) = D(-z) D2(-z^2) turns the
+  // denominator into 1 + a4 z^-4 + a8 z^-8, and the numerator into N P.
+  const Real e1 = 2.0 * a2 - a1 * a1;
+  const Real e2 = a2 * a2;
+  const Real d[3] = {1.0, -a1, a2};
+  const Real q[5] = {1.0, 0.0, -e1, 0.0, e2};
+  Real p[7] = {};
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 5; ++j) p[i + j] += d[i] * q[j];
+  }
+  const Real b[3] = {b0, b1, b2};
+  BiquadCoeffs c{};
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 7; ++j) c.g[i + j] += b[i] * p[j];
+  }
+  c.a4 = 2.0 * e2 - e1 * e1;
+  c.a8 = e2 * e2;
+  return c;
 }
 
 const KernelTable& scalar_table() { return detail::kScalarTable; }
@@ -172,17 +194,6 @@ bool isa_from_name(const char* name, Isa& out) {
     return true;
   }
   return false;
-}
-
-void biquad_cascade(const Real* x, Real* y, std::size_t n,
-                    const BiquadCoeffs* coeffs, BiquadState* states,
-                    std::size_t sections) {
-  if (sections == 0 || n == 0) return;
-  const KernelTable& k = active();
-  k.biquad(x, y, n, coeffs[0], states[0]);
-  for (std::size_t s = 1; s < sections; ++s) {
-    k.biquad(y, y, n, coeffs[s], states[s]);
-  }
 }
 
 }  // namespace ecocap::dsp::kernels

@@ -108,8 +108,9 @@ std::vector<Real> synthesize_vibration(Real modal_hz, Real damping_ratio,
   // White-noise excitation through the mode's resonance: Q = 1 / (2 zeta).
   const Real q = 1.0 / std::max<Real>(2.0 * damping_ratio, 1e-3);
   dsp::Biquad mode = dsp::Biquad::bandpass(fs, modal_hz, q);
-  std::vector<Real> out(n);
-  for (auto& v : out) v = mode.process(rng.gaussian());
+  std::vector<Real> out(n, 0.0);
+  rng.add_gaussian(out, 1.0);  // the draws of n gaussian() calls
+  mode.process(std::span<const Real>(out), out);
   return out;
 }
 

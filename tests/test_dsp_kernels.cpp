@@ -194,61 +194,65 @@ TEST(KernelEquivalence, OnepoleAndEnvelopeBitIdenticalAcrossTables) {
   }
 }
 
-TEST(KernelEquivalence, BiquadMatchesSeedRecurrenceExactly) {
-  // The biquad kernel must be bit-identical to the seed per-sample direct
-  // form I — across every table (SIMD tables reuse the scalar recurrence).
-  const BiquadCoeffs c{0.2, 0.3, 0.1, -0.5, 0.25};
-  const Signal x = random_signal(1000, 11);
-  Signal seed_y(x.size());
-  Real x1 = 0.0, x2 = 0.0, y1 = 0.0, y2 = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const Real yi =
-        c.b0 * x[i] + c.b1 * x1 + c.b2 * x2 - c.a1 * y1 - c.a2 * y2;
-    x2 = x1;
-    x1 = x[i];
-    y2 = y1;
-    y1 = yi;
-    seed_y[i] = yi;
-  }
-  std::vector<const KernelTable*> tables = simd_tables();
-  tables.push_back(&scalar_table());
-  for (const KernelTable* t : tables) {
-    Signal y(x.size());
-    BiquadState s;
-    t->biquad(x.data(), y.data(), x.size(), c, s);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      ASSERT_TRUE(bit_equal(seed_y[i], y[i])) << isa_name(t->isa) << " " << i;
+/// Look-ahead form of an arbitrary stable biquad (poles at radius 0.5).
+BiquadCoeffs test_biquad() { return biquad_lookahead(0.2, 0.3, 0.1, -0.5, 0.25); }
+
+/// A non-zero carried state, as a filter mid-stream has.
+BiquadState test_biquad_state() {
+  const Signal v = random_signal(16, 23);
+  BiquadState s;
+  std::copy_n(v.begin(), 8, s.x);
+  std::copy_n(v.begin() + 8, 8, s.y);
+  return s;
+}
+
+bool state_bit_equal(const BiquadState& a, const BiquadState& b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(KernelEquivalence, LookaheadBiquadBitIdenticalAcrossTables) {
+  // Every output is one fixed expression of the last nine inputs and two
+  // earlier outputs: the SIMD lanes and the scalar tail must evaluate it
+  // exactly as the scalar table does, from any carried state.
+  const BiquadCoeffs c = test_biquad();
+  const KernelTable& ref = scalar_table();
+  for (const KernelTable* t : simd_tables()) {
+    for (std::size_t n : kLengths) {
+      for (std::size_t off : kOffsets) {
+        const Signal x =
+            random_signal(n + off, 29u + static_cast<std::uint32_t>(n));
+        Signal want(n + off), got(n + off);
+        BiquadState sw = test_biquad_state(), sg = test_biquad_state();
+        ref.biquad(x.data() + off, want.data() + off, n, c, sw);
+        t->biquad(x.data() + off, got.data() + off, n, c, sg);
+        for (std::size_t i = off; i < n + off; ++i) {
+          ASSERT_TRUE(bit_equal(want[i], got[i]))
+              << isa_name(t->isa) << " n=" << n << " i=" << i;
+        }
+        EXPECT_TRUE(state_bit_equal(sw, sg)) << isa_name(t->isa) << " n=" << n;
+      }
     }
-    EXPECT_TRUE(bit_equal(s.y1, y1));
-    EXPECT_TRUE(bit_equal(s.y2, y2));
   }
 }
 
 TEST(KernelEquivalence, BiquadInPlaceMatchesOutOfPlace) {
-  const BiquadCoeffs c{0.2, 0.3, 0.1, -0.5, 0.25};
-  Signal x = random_signal(333, 13);
-  Signal y(x.size());
-  BiquadState s1, s2;
-  active().biquad(x.data(), y.data(), x.size(), c, s1);
-  active().biquad(x.data(), x.data(), x.size(), c, s2);  // in place
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    ASSERT_TRUE(bit_equal(x[i], y[i])) << i;
-  }
-}
-
-TEST(KernelEquivalence, BiquadCascadeMatchesSequentialSections) {
-  const BiquadCoeffs cs[2] = {{0.2, 0.3, 0.1, -0.5, 0.25},
-                              {0.7, -0.1, 0.05, 0.3, -0.2}};
-  const Signal x = random_signal(500, 19);
-  Signal y_cascade(x.size());
-  BiquadState st_cascade[2];
-  biquad_cascade(x.data(), y_cascade.data(), x.size(), cs, st_cascade, 2);
-  Signal mid(x.size()), y_seq(x.size());
-  BiquadState st_seq[2];
-  active().biquad(x.data(), mid.data(), x.size(), cs[0], st_seq[0]);
-  active().biquad(mid.data(), y_seq.data(), x.size(), cs[1], st_seq[1]);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    ASSERT_TRUE(bit_equal(y_cascade[i], y_seq[i])) << i;
+  // The channel filters in place: the kernel must keep its own copy of the
+  // input history rather than re-read slots it has overwritten.
+  const BiquadCoeffs c = test_biquad();
+  std::vector<const KernelTable*> tables = simd_tables();
+  tables.push_back(&scalar_table());
+  for (const KernelTable* t : tables) {
+    for (std::size_t n : {std::size_t{7}, std::size_t{64}, std::size_t{333}}) {
+      Signal x = random_signal(n, 13);
+      Signal y(x.size());
+      BiquadState s1 = test_biquad_state(), s2 = test_biquad_state();
+      t->biquad(x.data(), y.data(), x.size(), c, s1);
+      t->biquad(x.data(), x.data(), x.size(), c, s2);  // in place
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        ASSERT_TRUE(bit_equal(x[i], y[i])) << isa_name(t->isa) << " " << i;
+      }
+      EXPECT_TRUE(state_bit_equal(s1, s2)) << isa_name(t->isa);
+    }
   }
 }
 
