@@ -20,36 +20,7 @@ static_assert(Mt19937_64::kN == kernels::kMtStateWords);
 void Mt19937_64::twist() {
   kernels::active().mt_twist(x_.data());
   p_ = 0;
-}
-
-std::size_t Mt19937_64::polar_block(Real* x, Real* y, Real* r2,
-                                    std::size_t max) {
-  if (max == 0) return 0;
-  if (p_ >= kN) twist();
-  if (p_ == kN - 1) {
-    // The pair straddles a twist: draw it one word at a time.
-    x[0] = 2.0 * canonical() - 1.0;
-    y[0] = 2.0 * canonical() - 1.0;
-    r2[0] = x[0] * x[0] + y[0] * y[0];
-    return (r2[0] <= 1.0 && r2[0] != 0.0) ? 1 : 0;
-  }
-  // Convert a run of whole pairs from this state block with one kernel
-  // call: about as many as `max` acceptances take at the pi/4 acceptance
-  // rate, in whole steps of four pairs (the AVX2 width; one step serves a
-  // single draw 99.8% of the time). An odd leftover word goes to the
-  // straddling branch on a later call; converted words past the last
-  // acceptance needed are dropped, not consumed.
-  const std::size_t pairs =
-      std::min((kN - p_) / 2, (max + max / 4 + 4) & ~std::size_t{3});
-  std::uint64_t pair[kN / 2];
-  const std::size_t got = kernels::active().polar_candidates(
-      x_.data() + p_, pairs, x, y, r2, pair);
-  if (got < max) {
-    p_ += 2 * pairs;
-    return got;
-  }
-  p_ += 2 * (pair[max - 1] + 1);
-  return max;
+  ++twists_;
 }
 
 void Mt19937_64::save(std::ostream& os) const {
@@ -81,6 +52,48 @@ void Rng::add_gaussian(std::span<Real> x, Real sigma) {
 
 void Rng::skip_gaussian(std::size_t n) { draw_gaussian(nullptr, n, 0.0); }
 
+void Rng::convert_candidates(std::size_t want) {
+  constexpr std::size_t kN = Mt19937_64::kN;
+  Candidates& c = cand_;
+  // The pairs converted past the last consumed candidate were all
+  // rejected: a sequential draw would consume them next.
+  engine_.p_ = std::max<std::size_t>(engine_.p_, c.converted);
+  c.head = 0;
+  c.count = 0;
+  if (engine_.p_ >= kN) engine_.twist();
+  const std::size_t p = engine_.p_;
+  if (p == kN - 1) {
+    // The pair straddles a twist: draw it one word at a time.
+    const Real u = 2.0 * engine_.canonical() - 1.0;
+    const Real v = 2.0 * engine_.canonical() - 1.0;
+    const Real s = u * u + v * v;
+    c.converted = static_cast<std::uint16_t>(engine_.p_);
+    if (s <= 1.0 && s != 0.0) {
+      c.x[0] = u;
+      c.y[0] = v;
+      c.r2[0] = s;
+      c.end[0] = c.converted;
+      c.count = 1;
+    }
+    return;
+  }
+  // Convert a run of whole pairs from this state block with one kernel
+  // call: about as many as `want` acceptances take at the pi/4 acceptance
+  // rate, in whole steps of four pairs (the AVX2 width; one step serves a
+  // single draw 99.8% of the time). An odd leftover word goes to the
+  // straddling branch on a later call.
+  const std::size_t pairs =
+      std::min((kN - p) / 2, (want + want / 4 + 4) & ~std::size_t{3});
+  std::uint64_t pair[kPairs];
+  const std::size_t got = kernels::active().polar_candidates(
+      engine_.x_.data() + p, pairs, c.x, c.y, c.r2, pair);
+  for (std::size_t k = 0; k < got; ++k) {
+    c.end[k] = static_cast<std::uint16_t>(p + 2 * pair[k] + 2);
+  }
+  c.count = static_cast<std::uint16_t>(got);
+  c.converted = static_cast<std::uint16_t>(p + 2 * pairs);
+}
+
 void Rng::draw_gaussian(Real* out, std::size_t n, Real sigma) {
   std::size_t i = 0;
   // std::normal_distribution returns `g * stddev + mean`; with (0, 1) the
@@ -90,19 +103,36 @@ void Rng::draw_gaussian(Real* out, std::size_t n, Real sigma) {
     if (out) out[0] += sigma * (spare_ + 0.0);
     ++i;
   }
-  constexpr std::size_t kPairs = Mt19937_64::kN / 2;
-  Real px[kPairs], py[kPairs], r2[kPairs], m[kPairs];
+  if (i == n) return;
+  Candidates& c = cand_;
+  // A cache still valid on entry means the calls run as a stream: convert
+  // for the next call of this size too, since what this call leaves is
+  // kept. Otherwise convert for this call only; an engine draw in between
+  // would drop the rest.
+  const bool stream = c.at == engine_.p_ && c.twists == engine_.twists_;
+  if (!stream) {
+    c.head = c.count = 0;
+    c.converted = 0;
+  }
+  const std::size_t ahead = stream ? n / 2 : 0;
+  Real m[kPairs];
   while (i < n) {
-    const std::size_t got = engine_.polar_block(px, py, r2, (n - i + 1) / 2);
+    if (c.head == c.count) convert_candidates((n - i + 1) / 2 + ahead);
+    const std::size_t take =
+        std::min<std::size_t>(c.count - c.head, (n - i + 1) / 2);
+    if (take == 0) continue;  // every pair of the run was rejected
+    const Real* px = c.x + c.head;
+    const Real* py = c.y + c.head;
+    const Real* r2 = c.r2 + c.head;
     // libstdc++'s operation order, y first and x carried as the spare; only
     // the last pair can be half used.
-    const std::size_t full = std::min(got, (n - i) / 2);
+    const std::size_t full = std::min(take, (n - i) / 2);
     // libstdc++'s mult = sqrt(-2 * log(r2) / r2): log is the one scalar
     // step, called once per pair whose values are kept — every pair when
     // writing, only a split last pair's spare when skipping.
     const std::size_t first = out ? 0 : full;
-    for (std::size_t j = first; j < got; ++j) m[j] = std::log(r2[j]);
-    kernels::active().polar_scale(m + first, r2 + first, got - first);
+    for (std::size_t j = first; j < take; ++j) m[j] = std::log(r2[j]);
+    kernels::active().polar_scale(m + first, r2 + first, take - first);
     if (out) {
       Real* o = out + i;
       for (std::size_t j = 0; j < full; ++j) {
@@ -111,13 +141,17 @@ void Rng::draw_gaussian(Real* out, std::size_t n, Real sigma) {
       }
     }
     i += 2 * full;
-    if (full < got) {
+    if (full < take) {
       if (out) out[i] += sigma * (py[full] * m[full] + 0.0);
       ++i;
       spare_ = px[full] * m[full];
       spare_available_ = true;
     }
+    c.head = static_cast<std::uint16_t>(c.head + take);
+    engine_.p_ = c.end[c.head - 1];
   }
+  c.at = static_cast<std::uint16_t>(engine_.p_);
+  c.twists = engine_.twists_;
 }
 
 void Rng::save(std::ostream& os) const {
@@ -152,6 +186,7 @@ void Rng::load(std::istream& is) {
     engine_ = engine;
     spare_ = spare;
     spare_available_ = spare_available;
+    cand_.at = kNoCandidates;
   }
   is.flags(flags);
 }
