@@ -14,11 +14,25 @@
 #include <utility>
 #include <vector>
 
+#include <time.h>
+
 #include "core/thread_pool.hpp"
 #include "dsp/kernels/kernels.hpp"
 #include "dsp/serialize.hpp"
 
 namespace ecocap::bench {
+
+/// CPU seconds used so far by the calling thread plus `pool`'s spawned
+/// workers (CLOCK_THREAD_CPUTIME_ID of each). Across a job the change is
+/// its CPU cost: flat in the worker count unless the workers contend, and
+/// unlike a wall-time speedup it does not depend on the host granting the
+/// threads their own cores.
+inline double job_cpu_seconds(core::ThreadPool& pool) {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec) + pool.worker_cpu_seconds();
+}
 
 class BenchJson {
  public:

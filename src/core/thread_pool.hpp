@@ -47,6 +47,12 @@ class ThreadPool {
   /// harnesses share it so a sweep-of-sweeps doesn't oversubscribe.
   static ThreadPool& shared();
 
+  /// CPU seconds the spawned workers have run so far: the sum of their
+  /// CLOCK_THREAD_CPUTIME_ID clocks. A blocked worker accrues none, so the
+  /// change across a job, plus the caller's own thread clock, is the job's
+  /// CPU cost at any width.
+  double worker_cpu_seconds();
+
  private:
   struct Job;
   void worker_loop();
