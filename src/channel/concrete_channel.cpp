@@ -145,8 +145,8 @@ void ConcreteChannel::run_downlink(std::uint64_t pos, const Real* src,
       out[i] += tap_amps_[k] * src[static_cast<std::ptrdiff_t>(i - shift)];
     }
   }
-  // Resonance: direct form I reads each input before writing its slot, so
-  // filtering in place on the carried biquad is exact.
+  // Resonance: the biquad kernel keeps its own copy of the input history,
+  // so filtering in place on the carried biquad is exact.
   resonator.process(std::span<const Real>(out), out);
   if (resonator_->peak_gain > 0.0) {
     dsp::scale(out, 1.0 / resonator_->peak_gain);
