@@ -143,10 +143,11 @@ static void BM_ConcreteChannelUplink(benchmark::State& state) {
 BENCHMARK(BM_ConcreteChannelUplink);
 
 static void BM_FdtdStep(benchmark::State& state) {
+  core::ThreadPool serial(1);
   wave::ElasticFdtd::Config cfg;
   cfg.nx = static_cast<std::size_t>(state.range(0));
   cfg.ny = cfg.nx;
-  cfg.parallel = false;
+  cfg.pool = &serial;
   wave::ElasticFdtd sim(wave::materials::reference_concrete(), cfg);
   sim.add_force(cfg.nx / 2, cfg.ny / 2, 1, 1.0);
   for (auto _ : state) {

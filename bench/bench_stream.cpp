@@ -1,13 +1,13 @@
 // Streaming transceiver bench — the real-time headline for the clocked
-// SPSC-ring pipeline: a StreamingReader daemon interrogates continuously
+// stream pipeline: a StreamingReader daemon interrogates continuously
 // and the real-time factor (simulated seconds per wall second, measured
 // after warmup) says whether the full tx -> channel -> node -> rx -> decode
 // chain keeps up with a live ADC at fs. RTF >= 1 is the "could run against
-// real concrete" claim, gated in CI on the inline block-256 run.
+// real concrete" claim, gated in CI on the block-256 headline run.
 //
 // Also sweeps the block size (the latency/throughput knob) and re-checks
-// the determinism contract the test suite enforces: every block size and
-// the threaded mode deliver byte-identical telemetry. Emits
+// the determinism contract the test suite enforces: every block size
+// delivers byte-identical telemetry. Emits
 // BENCH_stream.json, gated by tools/perf_gate.py.
 
 #include <cstdio>
@@ -37,12 +37,10 @@ struct DaemonRun {
   std::vector<float> readings;
 };
 
-DaemonRun run_daemon(std::size_t block_size, bool threaded,
-                     double sim_seconds) {
+DaemonRun run_daemon(std::size_t block_size, double sim_seconds) {
   reader::StreamingReaderConfig config;
   config.stream.system = core::default_system();
   config.stream.block_size = block_size;
-  config.stream.threaded = threaded;
   config.poll_interval_s = 0.25;
   config.warmup_s = 0.5;
 
@@ -73,7 +71,7 @@ int main() {
   const double headline_s = env_or("ECOCAP_BENCH_STREAM_SECONDS", 4.0);
 
   std::printf("# streaming transceiver: real-time factor vs block size\n");
-  std::printf("# block_size threaded rtf delivered missed\n");
+  std::printf("# block_size rtf delivered missed\n");
 
   bench::BenchJson out("stream");
 
@@ -81,40 +79,32 @@ int main() {
   std::vector<double> block_axis, rtf_series;
   std::vector<DaemonRun> runs;
   for (const std::size_t b : blocks) {
-    runs.push_back(run_daemon(b, false, sweep_s));
+    runs.push_back(run_daemon(b, sweep_s));
     const auto& r = runs.back();
     block_axis.push_back(static_cast<double>(b));
     rtf_series.push_back(r.stats.real_time_factor);
-    std::printf("%zu 0 %.3f %llu %llu\n", b, r.stats.real_time_factor,
+    std::printf("%zu %.3f %llu %llu\n", b, r.stats.real_time_factor,
                 static_cast<unsigned long long>(r.stats.delivered),
                 static_cast<unsigned long long>(r.stats.missed));
   }
 
-  const DaemonRun threaded = run_daemon(256, true, sweep_s);
-  std::printf("256 1 %.3f %llu %llu\n", threaded.stats.real_time_factor,
-              static_cast<unsigned long long>(threaded.stats.delivered),
-              static_cast<unsigned long long>(threaded.stats.missed));
-
-  // Determinism contract: every block size and the threaded mode must have
-  // delivered the identical telemetry stream.
-  bool deterministic = same_world(runs[0], threaded);
+  // Determinism contract: every block size must have delivered the
+  // identical telemetry stream.
+  bool deterministic = true;
   for (const auto& r : runs) deterministic = deterministic && same_world(runs[0], r);
 
-  // Headline: the configuration the daemons run — inline, block 256. The
-  // threaded mode stays a reported row: it is part of the determinism
-  // contract, but no deployment runs it.
-  const DaemonRun headline = run_daemon(256, false, headline_s);
-  std::printf("# headline: %.3f sim-sec/wall-sec (inline, block 256)\n",
+  // Headline: the configuration the daemons run, block 256.
+  const DaemonRun headline = run_daemon(256, headline_s);
+  std::printf("# headline: %.3f sim-sec/wall-sec (block 256)\n",
               headline.stats.real_time_factor);
   if (!deterministic) {
-    std::printf("# WARNING: telemetry differed across block sizes/threads\n");
+    std::printf("# WARNING: telemetry differed across block sizes\n");
   }
 
   out.set_trials(static_cast<std::size_t>(headline.stats.polls));
   out.metric("hw_threads", static_cast<double>(hw));
   out.metric("real_time_factor", headline.stats.real_time_factor);
   out.metric("rtf_inline_256", runs[1].stats.real_time_factor);
-  out.metric("rtf_threaded_256", threaded.stats.real_time_factor);
   out.metric("stream_deterministic", deterministic ? 1.0 : 0.0);
   out.metric("sim_seconds", headline.stats.sim_seconds);
   out.metric("polls", static_cast<double>(headline.stats.polls));

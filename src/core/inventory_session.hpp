@@ -93,7 +93,6 @@ class InventorySession {
   void set_environment(std::uint16_t node_id,
                        const node::ConcreteEnvironment& env);
 
-  std::size_t node_count() const { return nodes_.size(); }
   const Config& config() const { return config_; }
 
   /// The supervisor, when enabled (nullptr otherwise).

@@ -56,8 +56,6 @@ class MultiNodeLink {
   /// out).
   Result run_inventory();
 
-  std::size_t node_count() const { return nodes_.size(); }
-
  private:
   struct Deployed {
     NodePlacement placement;

@@ -13,8 +13,8 @@ namespace ecocap::core {
 /// the caller's (per push), not the ring's: one ring can serve a blocking
 /// data plane and a lossy telemetry plane at once.
 enum class Overflow {
-  /// Refuse the push (the caller spins/yields — the sample-pipeline
-  /// behaviour, where losing a block would corrupt the stream).
+  /// Refuse the push (the caller spins/yields until there is room, for
+  /// streams where losing an element is not acceptable).
   kBlock,
   /// Evict the oldest unconsumed element to make room; the push always
   /// succeeds. Keeps the *newest* data under overload (telemetry,
@@ -24,10 +24,9 @@ enum class Overflow {
   kDropNewest,
 };
 
-/// Lock-free single-producer/single-consumer ring buffer — the coupling
-/// element between the streaming transceiver's pipeline stages (the
-/// `smplbuf` role in the obts-transceiver architecture ROADMAP item 1
-/// names) and the runtime layer's daemon -> supervisor telemetry queues.
+/// Lock-free single-producer/single-consumer ring buffer — the runtime
+/// layer's daemon -> supervisor telemetry queues (runtime::DaemonSupervisor's
+/// per-daemon event rings).
 ///
 /// Concurrency contract:
 ///  * exactly one thread calls push-side methods (the producer) and exactly
@@ -45,8 +44,8 @@ enum class Overflow {
 ///  * `close()` poisons the ring: subsequent pushes fail, pops drain the
 ///    remaining elements and then keep failing. Spin loops must check
 ///    `closed()` so a thread blocked on a full (or empty) ring exits when
-///    its peer dies instead of spinning forever — the shutdown-deadlock
-///    contract StreamPipeline's teardown relies on.
+///    its peer dies instead of spinning forever — the shutdown contract
+///    the supervisor's kBlock event pushes rely on at teardown.
 ///
 /// The cursors live on their own cache lines (`alignas(64)`) so the
 /// producer's tail stores and the consumer's head stores do not false-share.

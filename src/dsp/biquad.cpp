@@ -42,14 +42,6 @@ Biquad Biquad::lowpass(Real fs, Real f0, Real q) {
                 (1.0 - p.alpha) / a0);
 }
 
-Biquad Biquad::highpass(Real fs, Real f0, Real q) {
-  const auto p = rbj(fs, f0, q);
-  const Real a0 = 1.0 + p.alpha;
-  return Biquad(((1.0 + p.cw) / 2.0) / a0, (-(1.0 + p.cw)) / a0,
-                ((1.0 + p.cw) / 2.0) / a0, (-2.0 * p.cw) / a0,
-                (1.0 - p.alpha) / a0);
-}
-
 Biquad Biquad::bandpass(Real fs, Real f0, Real q) {
   const auto p = rbj(fs, f0, q);
   const Real a0 = 1.0 + p.alpha;

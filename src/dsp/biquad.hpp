@@ -25,9 +25,6 @@ class Biquad {
   /// Resonant low-pass with quality factor q at frequency f0.
   static Biquad lowpass(Real fs, Real f0, Real q);
 
-  /// Resonant high-pass.
-  static Biquad highpass(Real fs, Real f0, Real q);
-
   /// Constant-peak band-pass centered on f0.
   static Biquad bandpass(Real fs, Real f0, Real q);
 

@@ -59,7 +59,6 @@ class EcoCapsule {
   /// draw — the fault layer's aged/leaky-cap model. Drains even while the
   /// MCU is off (a leak does not wait for boot). Zero by default.
   void set_extra_load_amps(double amps) { harvest_.set_extra_load(amps); }
-  double extra_load_amps() const { return harvest_.extra_load(); }
 
   /// Direct access for tests and experiments.
   Firmware& firmware() { return firmware_; }

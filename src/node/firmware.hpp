@@ -60,7 +60,6 @@ class Firmware {
 
   McuState state() const { return state_; }
   std::uint16_t current_rn16() const { return rn16_; }
-  int slot_counter() const { return slot_; }
   /// Whether this node participates in inventory rounds (Select flag).
   bool selected() const { return selected_; }
   const FirmwareConfig& config() const { return config_; }

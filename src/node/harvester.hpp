@@ -100,7 +100,6 @@ class HarvestGrid {
   /// Constant parasitic load (A) on the storage cap, on top of the MCU
   /// draw — drains even while the MCU is off. Zero by default.
   void set_extra_load(Real amps) { extra_load_ = amps; }
-  Real extra_load() const { return extra_load_; }
 
   /// Bit-exact round trip of the open chunk and the cap. The record names
   /// are the streaming node's checkpoint records.

@@ -33,7 +33,6 @@ class TimeSeries {
   std::size_t size() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
   Real at(std::size_t i) const { return values_[i]; }
-  Real time_of(std::size_t i) const { return dt_ * static_cast<Real>(i); }
   std::span<const Real> values() const { return values_; }
 
   /// Basic statistics over [first, last) indices (whole series by default).

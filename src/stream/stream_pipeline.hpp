@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/link_simulator.hpp"
-#include "core/spsc_ring.hpp"
 #include "core/stream_clock.hpp"
 #include "stream/stream_stages.hpp"
 
@@ -21,15 +20,10 @@ struct StreamConfig {
   /// per-sample recurrence); smaller blocks bound latency, larger ones
   /// amortize per-block overhead.
   std::size_t block_size = 256;
-  /// When true, each advance segment runs the five stages on five threads
-  /// (tx on the caller) coupled by SPSC rings; decodes are bit-identical
-  /// to the inline mode because the rings preserve block order and each
-  /// stage's state is private to its thread.
+  /// Rejected: the pipeline has one, inline, execution path and its
+  /// constructor throws when this is true. The field exists only for the
+  /// end-to-end benchmark's plain-daemon guard, which still reads it.
   bool threaded = false;
-  /// Reader-side self-interference amplitude. Negative (the default)
-  /// derives an estimate from the link budget: the propagated RMS of a
-  /// steady CW reflection at the mid backscatter gain.
-  Real si_amplitude = -1.0;
 };
 
 /// The clocked tx -> channel -> node -> rx sample-streaming pipeline.
@@ -37,9 +31,9 @@ struct StreamConfig {
 /// control plane (a daemon, a test) schedules emissions and capture
 /// windows on the absolute sample timeline and then advances the stream.
 ///
-/// Concurrency contract: `advance_to` runs the data plane (possibly on
-/// worker threads); every other method is control plane and must only be
-/// called while no advance is in flight.
+/// Concurrency contract: the pipeline is single-threaded. `advance_to` runs
+/// the data plane, the five stages in sequence on the calling thread; every
+/// other method is control plane and must not overlap an advance.
 class StreamPipeline {
  public:
   explicit StreamPipeline(StreamConfig config);
@@ -55,12 +49,11 @@ class StreamPipeline {
   void set_fault_plan(const fault::FaultPlan& plan);
 
   /// Advance the stream to the absolute sample `until`. Decodes completed
-  /// during the segment are appended to `*decodes` when given, otherwise
-  /// they stay queued for `take_decodes`.
+  /// so far are appended to `*decodes` when given, otherwise they stay
+  /// queued for a later call that passes it.
   void advance_to(std::uint64_t until,
                   std::vector<DecodedUplink>* decodes = nullptr);
 
-  std::vector<DecodedUplink> take_decodes() { return rx_.drain_decodes(); }
   std::vector<NodeFrameEvent> drain_node_events() {
     return node_.drain_events();
   }
@@ -105,8 +98,6 @@ class StreamPipeline {
  private:
   template <class Self, class Ar>
   static void io_stages(Self& self, Ar& ar);
-  void run_inline(std::uint64_t until);
-  void run_threaded(std::uint64_t until);
   static Real derive_si_amplitude(const channel::ConcreteChannel& channel,
                                   const core::SystemConfig& system,
                                   Real volts_scale);
@@ -122,7 +113,7 @@ class StreamPipeline {
   NodeStage node_;
   UplinkStage ul_;
   RxStage rx_;
-  Signal block_;  // inline-mode working buffer
+  Signal block_;  // the block every stage works on in place
   std::uint64_t pos_ = 0;
   std::uint64_t fault_epoch_ = 0;
   fault::FaultPlan active_plan_;  // the plan the current injectors realize

@@ -22,15 +22,6 @@ namespace ecocap::stream {
 using dsp::Real;
 using dsp::Signal;
 
-/// One hop of the streaming pipeline: a numbered block of samples. Blocks
-/// move between stages by value (the Signal's heap buffer moves with them),
-/// so a fixed set of blocks circulates through the rings allocation-free
-/// once warm.
-struct Block {
-  std::uint64_t seq = 0;
-  Signal samples;
-};
-
 /// An uplink emission scheduled on the node's absolute sample timeline:
 /// from sample `start` the backscatter switch follows `switching` (a
 /// bipolar FM0 waveform, XORed with the BLF subcarrier); before, between
@@ -156,7 +147,7 @@ class NodeStage {
   void set_extra_load_amps(Real amps) { harvest_.set_extra_load(amps); }
 
   /// Take the frame events recorded since the last drain. Only call while
-  /// the pipeline is idle (between segments).
+  /// the pipeline is idle (between advances).
   std::vector<NodeFrameEvent> drain_events();
 
   /// Carried-state round trip at a quiescent point: the emission queue must
@@ -221,10 +212,8 @@ class UplinkStage {
 /// window's buffer is kept as the spare of every RxStage on the calling
 /// thread, so a warm thread allocates no capture storage per window, and
 /// readers polled in turn on one thread keep one window's storage between
-/// them rather than one per stage. Both savings are inline-mode only: the
-/// threaded pipeline always pushes the full uplink (its rx thread changes
-/// the pending windows `reads` looks at), and its rx thread's spare is
-/// freed when that thread ends with the segment.
+/// them rather than one per stage. The pipeline also asks `reads` which
+/// blocks need the uplink waveform at all.
 class RxStage {
  public:
   explicit RxStage(const reader::ReceiverConfig& config);
@@ -244,7 +233,7 @@ class RxStage {
   std::vector<DecodedUplink> drain_decodes();
 
   /// Observer of the raw at-reader stream (tests tap it to prove the
-  /// stream is identical across block sizes and threading modes). Called
+  /// stream is identical across block sizes). Called
   /// once per block with the absolute position of its first sample.
   using Tap = std::function<void(std::uint64_t pos, const Signal& block)>;
   void set_tap(Tap tap) { tap_ = std::move(tap); }

@@ -171,15 +171,13 @@ void ElasticFdtd::apply_sponge_rows(std::size_t y0, std::size_t y1) {
 template <typename Fn>
 void ElasticFdtd::for_row_bands(const Fn& fn) {
   const std::size_t rows = config_.ny - 2;  // interior rows [1, ny-1)
-  core::ThreadPool* pool = nullptr;
-  if (config_.parallel) {
-    pool = config_.pool ? config_.pool : &core::ThreadPool::shared();
-  }
+  core::ThreadPool* pool =
+      config_.pool ? config_.pool : &core::ThreadPool::shared();
   // Each pass reads one field set and writes the other, so rows within a
   // pass are independent; parallel_for's join is the halo barrier between
   // the velocity and stress passes. Small grids stay serial — the pool
   // fan-out costs more than the arithmetic it would split.
-  const bool go_parallel = pool && pool->size() > 1 &&
+  const bool go_parallel = pool->size() > 1 &&
                            rows >= 2 * pool->size() &&
                            rows * config_.nx >= 8192;
   if (!go_parallel) {
@@ -244,8 +242,6 @@ void ElasticFdtd::step() {
       apply_sponge_rows(y0, y1);
     });
   }
-
-  ++steps_done_;
 }
 
 void ElasticFdtd::run(std::size_t steps, std::size_t src_x, std::size_t src_y,

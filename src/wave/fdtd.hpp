@@ -41,13 +41,12 @@ class ElasticFdtd {
     /// coefficients are computed for exactly the cells it touches.
     std::size_t sponge_cells = 0;
     Real sponge_strength = 0.015;  // per-step damping at the outer edge
-    /// Split each update pass into row bands across a core::ThreadPool.
-    /// Every cell update is independent within a pass, so the fields are
-    /// bit-identical at any worker count. false forces serial stepping.
-    bool parallel = true;
-    /// Pool used when `parallel`; nullptr selects ThreadPool::shared()
-    /// (worker count from ECOCAP_THREADS / hardware_concurrency). Grids too
-    /// small to amortize the fan-out run serially either way.
+    /// Pool that splits each update pass into row bands; nullptr selects
+    /// ThreadPool::shared() (worker count from ECOCAP_THREADS /
+    /// hardware_concurrency), and a one-worker pool steps serially. Every
+    /// cell update is independent within a pass, so the fields are
+    /// bit-identical at any worker count. Grids too small to amortize the
+    /// fan-out run serially either way.
     core::ThreadPool* pool = nullptr;
   };
 
@@ -102,8 +101,6 @@ class ElasticFdtd {
   ModeEnergies mode_energies(std::size_t x0, std::size_t y0, std::size_t x1,
                              std::size_t y1) const;
 
-  std::size_t step_count() const { return steps_done_; }
-
  private:
   std::size_t idx(std::size_t ix, std::size_t iy) const {
     return iy * config_.nx + ix;
@@ -119,7 +116,6 @@ class ElasticFdtd {
   Config config_;
   Real dt_ = 0.0;
   Real max_cp_ = 0.0;
-  std::size_t steps_done_ = 0;
   // Material maps.
   std::vector<Real> rho_, lambda_, mu_;
   // Fields (staggered in space; stored on the same index grid).

@@ -186,11 +186,11 @@ TEST(SpscRingOverflow, ConcurrentDropOldestNeverTearsOrDoubleDelivers) {
 // StreamingReader checkpoint/resume — bit-exact recovery
 // ---------------------------------------------------------------------------
 
-ecocap::reader::StreamingReaderConfig fast_daemon_config(bool threaded) {
+ecocap::reader::StreamingReaderConfig fast_daemon_config(
+    std::size_t block_size = 256) {
   ecocap::reader::StreamingReaderConfig config;
   config.stream.system = ecocap::core::default_system();
-  config.stream.block_size = threaded ? 1024 : 256;
-  config.stream.threaded = threaded;
+  config.stream.block_size = block_size;
   config.poll_interval_s = 0.05;
   config.warmup_s = 0.5;
   return config;
@@ -204,54 +204,42 @@ std::string node_bytes(const ecocap::fleet::TelemetryStore& store,
 }
 
 TEST(StreamingReaderCheckpoint, ResumeReplaysByteIdentically) {
-  const auto config = fast_daemon_config(false);
+  // The daemons' block size, and a block that straddles the poll and
+  // capture boundaries differently.
+  for (const std::size_t block : {256u, 1024u}) {
+    SCOPED_TRACE(::testing::Message() << "block=" << block);
+    const auto config = fast_daemon_config(block);
 
-  ecocap::reader::StreamingReader uninterrupted(config);
-  uninterrupted.run_polls(8);
+    ecocap::reader::StreamingReader uninterrupted(config);
+    uninterrupted.run_polls(8);
 
-  ecocap::reader::StreamingReader crashing(config);
-  crashing.run_polls(4);
-  const std::string ckpt = crashing.checkpoint();
+    ecocap::reader::StreamingReader crashing(config);
+    crashing.run_polls(4);
+    const std::string ckpt = crashing.checkpoint();
 
-  ecocap::reader::StreamingReader resumed(config);
-  resumed.resume(ckpt);
-  EXPECT_EQ(resumed.polls_done(), 4u);
-  resumed.run_polls(4);
+    ecocap::reader::StreamingReader resumed(config);
+    resumed.resume(ckpt);
+    EXPECT_EQ(resumed.polls_done(), 4u);
+    resumed.run_polls(4);
 
-  // The strongest equality there is: the complete serialized daemon state
-  // (pipeline carried state, RNG streams, firmware, supervisor, cumulative
-  // stats, telemetry node) is byte-identical.
-  EXPECT_EQ(uninterrupted.checkpoint(), resumed.checkpoint());
-  EXPECT_EQ(node_bytes(uninterrupted.telemetry(), 0),
-            node_bytes(resumed.telemetry(), 0));
-  EXPECT_GT(uninterrupted.stats().delivered, 0u)
-      << "scenario must actually deliver readings for the check to bite";
+    // The strongest equality there is: the complete serialized daemon
+    // state (pipeline carried state, RNG streams, firmware, supervisor,
+    // cumulative stats, telemetry node) is byte-identical.
+    EXPECT_EQ(uninterrupted.checkpoint(), resumed.checkpoint());
+    EXPECT_EQ(node_bytes(uninterrupted.telemetry(), 0),
+              node_bytes(resumed.telemetry(), 0));
+    EXPECT_GT(uninterrupted.stats().delivered, 0u)
+        << "scenario must actually deliver readings for the check to bite";
 
-  // Quiescent decode workspace: every checkout was returned (no pooled
-  // buffer leaked across the crash/resume boundary).
-  const auto& ws = resumed.pipeline().rx_workspace_stats();
-  EXPECT_EQ(ws.checkouts, ws.returns);
-}
-
-TEST(StreamingReaderCheckpoint, ResumeCoversThreadedPipelines) {
-  const auto config = fast_daemon_config(true);
-
-  ecocap::reader::StreamingReader uninterrupted(config);
-  uninterrupted.run_polls(4);
-
-  ecocap::reader::StreamingReader crashing(config);
-  crashing.run_polls(2);
-  const std::string ckpt = crashing.checkpoint();
-
-  ecocap::reader::StreamingReader resumed(config);
-  resumed.resume(ckpt);
-  resumed.run_polls(2);
-
-  EXPECT_EQ(uninterrupted.checkpoint(), resumed.checkpoint());
+    // Quiescent decode workspace: every checkout was returned (no pooled
+    // buffer leaked across the crash/resume boundary).
+    const auto& ws = resumed.pipeline().rx_workspace_stats();
+    EXPECT_EQ(ws.checkouts, ws.returns);
+  }
 }
 
 TEST(StreamingReaderCheckpoint, ResumeCarriesPendingFaultEvents) {
-  auto config = fast_daemon_config(false);
+  auto config = fast_daemon_config();
   ecocap::reader::StreamFaultEvent event;
   event.at_s = 0.65;  // fires after the checkpoint poll below
   event.plan = ecocap::fault::FaultPlan::at_intensity(0.5);
@@ -275,7 +263,7 @@ TEST(StreamingReaderCheckpoint, ResumeCarriesPendingFaultEvents) {
 }
 
 TEST(StreamingReaderCheckpoint, RejectsFingerprintMismatch) {
-  const auto config = fast_daemon_config(false);
+  const auto config = fast_daemon_config();
   ecocap::reader::StreamingReader a(config);
   a.run_polls(1);
   const std::string ckpt = a.checkpoint();
@@ -344,7 +332,7 @@ ecocap::runtime::RuntimeConfig fleet_config(std::size_t daemons,
                                             std::uint64_t polls) {
   ecocap::runtime::RuntimeConfig config;
   for (std::size_t i = 0; i < daemons; ++i) {
-    auto d = fast_daemon_config(false);
+    auto d = fast_daemon_config();
     // Distinct universes per daemon (seed + node id), like a real fleet.
     d.stream.system.seed += 1000 * (i + 1);
     d.stream.system.capsule.firmware.node_id =

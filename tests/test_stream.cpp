@@ -3,7 +3,7 @@
 // block splits against one whole-leg push (which is what the batch calls
 // run), and the end-to-end daemon —
 // including the headline claim that the decoded stream is bit-identical at
-// any block size and in threaded vs inline mode.
+// any block size.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -389,12 +389,10 @@ TEST(RxStage, RecyclesCaptureBuffersOnceWarm) {
 // End-to-end: the streaming daemon
 // ---------------------------------------------------------------------------
 
-ecocap::reader::StreamingReaderConfig daemon_config(std::size_t block_size,
-                                                    bool threaded) {
+ecocap::reader::StreamingReaderConfig daemon_config(std::size_t block_size) {
   ecocap::reader::StreamingReaderConfig config;
   config.stream.system = ecocap::core::default_system();
   config.stream.block_size = block_size;
-  config.stream.threaded = threaded;
   config.poll_interval_s = 0.25;
   config.warmup_s = 0.5;
   return config;
@@ -406,8 +404,8 @@ struct DaemonRun {
   Signal rx_stream;  // every at-reader sample, in order
 };
 
-DaemonRun run_daemon(std::size_t block_size, bool threaded, Real sim_seconds) {
-  ecocap::reader::StreamingReader daemon(daemon_config(block_size, threaded));
+DaemonRun run_daemon(std::size_t block_size, Real sim_seconds) {
+  ecocap::reader::StreamingReader daemon(daemon_config(block_size));
   DaemonRun run;
   daemon.pipeline().set_rx_tap(
       [&run](std::uint64_t, const Signal& block) {
@@ -421,26 +419,20 @@ DaemonRun run_daemon(std::size_t block_size, bool threaded, Real sim_seconds) {
   return run;
 }
 
-// The ISSUE acceptance criterion: the decoded stream is bit-identical at
-// block sizes {64, 256, 4096}, and threaded mode matches inline. The rx tap
-// proves the at-reader waveform itself is byte-identical, which subsumes
-// decode equality; the telemetry values prove the full daemon (protocol,
-// supervisor, store) saw the same world.
-TEST(StreamingDaemon, DecodeBitIdenticalAcrossBlockSizesAndThreads) {
-  const DaemonRun ref = run_daemon(256, false, 1.0);
+// The decoded stream is bit-identical at block sizes {64, 256, 4096}. The
+// rx tap proves the at-reader waveform itself is byte-identical, which
+// subsumes decode equality; the telemetry values prove the full daemon
+// (protocol, supervisor, store) saw the same world.
+TEST(StreamingDaemon, DecodeBitIdenticalAcrossBlockSizes) {
+  const DaemonRun ref = run_daemon(256, 1.0);
   ASSERT_GT(ref.stats.polls, 0u);
   ASSERT_GT(ref.stats.delivered, 0u)
       << "reference daemon never delivered a reading — scenario is broken";
   ASSERT_FALSE(ref.rx_stream.empty());
 
-  const struct {
-    std::size_t block;
-    bool threaded;
-  } variants[] = {{64, false}, {4096, false}, {256, true}};
-  for (const auto& v : variants) {
-    const DaemonRun got = run_daemon(v.block, v.threaded, 1.0);
-    SCOPED_TRACE(::testing::Message()
-                 << "block=" << v.block << " threaded=" << v.threaded);
+  for (const std::size_t block : {64u, 4096u}) {
+    const DaemonRun got = run_daemon(block, 1.0);
+    SCOPED_TRACE(::testing::Message() << "block=" << block);
     EXPECT_EQ(got.stats.delivered, ref.stats.delivered);
     EXPECT_EQ(got.stats.missed, ref.stats.missed);
     EXPECT_EQ(got.stats.frames_scheduled, ref.stats.frames_scheduled);
@@ -462,7 +454,7 @@ TEST(StreamingDaemon, DecodeBitIdenticalAcrossBlockSizesAndThreads) {
 }
 
 TEST(StreamingDaemon, RunsCarryStateAcrossCalls) {
-  ecocap::reader::StreamingReader daemon(daemon_config(256, false));
+  ecocap::reader::StreamingReader daemon(daemon_config(256));
   const auto first = daemon.run(0.5);
   const auto second = daemon.run(0.5);
   EXPECT_GT(first.polls, 0u);
@@ -475,7 +467,7 @@ TEST(StreamingDaemon, RunsCarryStateAcrossCalls) {
 }
 
 TEST(StreamingDaemon, MidRunFaultPlanPerturbsTheLiveStream) {
-  auto config = daemon_config(256, false);
+  auto config = daemon_config(256);
   config.supervisor.enabled = true;
   // Start the ladder at the scenario's known-good line rate so the clean
   // phase delivers; the fallback rung is what the fault should drive it to.
@@ -605,7 +597,7 @@ struct PolledRun {
 };
 
 PolledRun run_polled(std::size_t block_size, bool tapped, bool faults) {
-  auto config = daemon_config(block_size, false);
+  auto config = daemon_config(block_size);
   if (faults) {
     // Channel faults from 0.75 s (the uplink injector goes live), cleared
     // from 1.25 s: the run crosses both ways between the paths.
@@ -663,6 +655,21 @@ TEST(StreamPipeline, ValidatesConfigAndSchedule) {
   past.start = 10;  // behind the stream head
   EXPECT_THROW(pipeline.schedule_emission(std::move(past)),
                std::invalid_argument);
+}
+
+// The pipeline has one, inline, execution path: a config asking for
+// threaded mode fails loudly instead of silently running inline.
+TEST(StreamPipeline, RejectsThreadedMode) {
+  ecocap::stream::StreamConfig config;
+  config.system = ecocap::core::default_system();
+  config.threaded = true;
+  try {
+    ecocap::stream::StreamPipeline pipeline(config);
+    FAIL() << "threaded = true must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("threaded"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -231,15 +231,15 @@ void expect_serial_parallel_bit_identical(std::size_t n,
                                           std::size_t sponge_cells,
                                           std::size_t steps,
                                           std::size_t quiet_steps = 0) {
+  core::ThreadPool one(1);
   core::ThreadPool pool(4);
   ElasticFdtd::Config serial_cfg;
   serial_cfg.nx = n;
   serial_cfg.ny = n;
   serial_cfg.dx = 2.0e-3;
   serial_cfg.sponge_cells = sponge_cells;
-  serial_cfg.parallel = false;
+  serial_cfg.pool = &one;  // a one-worker pool steps serially
   ElasticFdtd::Config par_cfg = serial_cfg;
-  par_cfg.parallel = true;
   par_cfg.pool = &pool;
 
   ElasticFdtd serial(kMedium, serial_cfg);

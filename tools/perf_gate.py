@@ -43,14 +43,14 @@ fleet — gates the sharded fleet engine + telemetry serving layer:
   * concurrent query throughput floors are enforced only when
     hw_threads >= 4.
 
-stream — gates the clocked SPSC-ring streaming transceiver:
+stream — gates the clocked streaming transceiver:
 
-  * stream_deterministic must be 1 on every host (every block size and the
-    threaded pipeline delivered byte-identical telemetry — again never
-    skipped);
+  * stream_deterministic must be 1 on every host (every block size of the
+    sweep delivered byte-identical telemetry — again never skipped);
   * the real-time factor (simulated seconds per wall second of the daemon's
-    inline block-256 run) must be >= 2 on every host: the streaming reader
-    keeps up with a live ADC at fs with margin, on one thread.
+    block-256 headline run) must be >= STREAM_RTF_FLOOR on every host:
+    the streaming reader keeps up with a live ADC at fs with margin, on one
+    thread.
 
 runtime — gates the self-healing fleet runtime (DaemonSupervisor):
 
@@ -122,7 +122,7 @@ FLEET_CPU_GROWTH_CEILING = ("ingest_cpu_growth_4t", 1.5)
 FLEET_QUERIES_PER_SEC_FLOOR = 10_000.0
 FLEET_INGEST_UNDER_QUERY_FLOOR = 50_000.0
 
-# Streaming real-time factor floor, on the inline block-256 run the
+# Streaming real-time factor floor, on the block-256 run the
 # daemons use (one thread, so enforced on every host). bench_stream's
 # real_time_factor measured 4.7-4.9 before the decimating receiver front
 # end, 5.8-10 after it, and 8.3 with the state-only uplink outside capture
@@ -233,17 +233,15 @@ def gate_fleet(metrics, path, failures):
 
 
 def gate_stream(metrics, path, failures):
-    # Bit-identical telemetry across block sizes and threaded/inline mode is
-    # the streaming contract; like the fleet determinism bit it holds on any
-    # host.
+    # Bit-identical telemetry across block sizes is the streaming contract;
+    # like the fleet determinism bit it holds on any host.
     check_flag(metrics, "stream_deterministic", failures, path,
-               "streamed telemetry not bit-identical across "
-               "block sizes / threading modes")
+               "streamed telemetry not bit-identical across block sizes")
 
     check_floor(metrics, "real_time_factor", STREAM_RTF_FLOOR, failures,
                 path)
-    return ["real_time_factor", "rtf_inline_256", "rtf_threaded_256",
-            "stream_deterministic", "delivered", "missed"]
+    return ["real_time_factor", "rtf_inline_256", "stream_deterministic",
+            "delivered", "missed"]
 
 
 def gate_runtime(metrics, path, failures):
