@@ -286,8 +286,7 @@ void ConcreteChannel::DownlinkStream::load(dsp::ser::Reader& r) {
 template <class Self, class Ar>
 void ConcreteChannel::UplinkStream::io(Self& self, Ar& ar) {
   ar.nested(self.resonator_);
-  ar.value("uls.si_phase", self.si_.phase(),
-           [&](auto phase) { self.si_.reset_phase(phase); });
+  dsp::Oscillator::io(self.si_, ar, "uls.si_phase", "uls.si_index");
   ar.field("uls.rng", self.rng_);
 }
 

@@ -1,21 +1,82 @@
 #include "dsp/oscillator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "dsp/kernels/kernels.hpp"
 
 namespace ecocap::dsp {
 
-Oscillator::Oscillator(Real fs, Real frequency)
-    : fs_(fs), frequency_(frequency), step_(kTwoPi * frequency / fs) {
-  if (fs <= 0.0) throw std::invalid_argument("Oscillator: fs must be > 0");
+namespace {
+
+constexpr std::uint64_t kMaxGrid = std::uint64_t{1} << 53;
+
+struct Grid {
+  std::uint64_t step;
+  std::uint64_t size;
+};
+
+/// |v| as m * 2^e with m odd (v finite and nonzero).
+std::uint64_t odd_mantissa(Real v, int& e) {
+  const auto m = static_cast<std::uint64_t>(
+      std::ldexp(std::frexp(std::abs(v), &e), 53));
+  const int zeros = std::countr_zero(m);
+  e += zeros - 53;
+  return m >> zeros;
+}
+
+/// f/fs as step/size: both doubles are odd integers times powers of two,
+/// so dividing out the mantissas' gcd leaves the reduced fraction exactly.
+/// A denominator above 2^53 falls back to the 2^53 grid, rounding the step.
+Grid phase_grid(Real f, Real fs) {
+  if (f == 0.0) return {0, 1};
+  int ef = 0, es = 0;
+  std::uint64_t num = odd_mantissa(f, ef);
+  std::uint64_t den = odd_mantissa(fs, es);
+  const std::uint64_t g = std::gcd(num, den);
+  num /= g;
+  den /= g;
+  const int e = ef - es;  // |f| / fs = num / den * 2^e
+  if (e >= 0 || (-e <= 53 && den <= (kMaxGrid >> -e))) {
+    const std::uint64_t size = e >= 0 ? den : den << -e;
+    std::uint64_t step = num % size;
+    for (int i = 0; i < e; ++i) step = (step << 1) % size;
+    if (f < 0.0) step = (size - step) % size;
+    return {step, size};
+  }
+  Real r = f / fs;
+  r -= std::floor(r);
+  const auto step = static_cast<std::uint64_t>(std::llround(std::ldexp(r, 53)));
+  return {step % kMaxGrid, kMaxGrid};
+}
+
+}  // namespace
+
+Oscillator::Oscillator(Real fs, Real frequency) : fs_(fs), frequency_(0.0) {
+  if (!(fs > 0.0) || !std::isfinite(fs)) {
+    throw std::invalid_argument("Oscillator: fs must be > 0");
+  }
+  set_frequency(frequency);
 }
 
 void Oscillator::set_frequency(Real frequency) {
+  if (!std::isfinite(frequency)) {
+    throw std::invalid_argument("Oscillator: frequency must be finite");
+  }
+  offset_ = phase();
+  index_ = 0;
   frequency_ = frequency;
-  step_ = kTwoPi * frequency / fs_;
+  const Grid g = phase_grid(frequency, fs_);
+  step_ = g.step;
+  grid_ = g.size;
+  scale_ = kTwoPi / static_cast<Real>(grid_);
+}
+
+std::uint64_t Oscillator::period() const {
+  return grid_ / std::gcd(step_, grid_);
 }
 
 Real Oscillator::next(Real amplitude) {
@@ -26,14 +87,19 @@ Real Oscillator::next(Real amplitude) {
 }
 
 void Oscillator::phases(std::span<Real> out) {
-  Real phase = phase_;
+  std::uint64_t index = index_;
   for (Real& p : out) {
-    p = phase;
-    phase += step_;
-    if (phase >= kTwoPi) phase -= kTwoPi;
-    if (phase < 0.0) phase += kTwoPi;
+    p = phase_at(index);
+    index += step_;
+    if (index >= grid_) index -= grid_;
   }
-  phase_ = phase;
+  index_ = index;
+}
+
+void Oscillator::advance(std::uint64_t n) {
+  using u128 = unsigned __int128;
+  index_ = static_cast<std::uint64_t>(
+      (u128{index_} + u128{n} * step_) % grid_);
 }
 
 namespace {
@@ -49,13 +115,6 @@ void Oscillator::accumulate(std::span<Real> x, Real amplitude) {
     phases(std::span<Real>(buf, m));
     k.sine(buf, m, amplitude);
     for (std::size_t j = 0; j < m; ++j) x[i + j] += buf[j];
-  }
-}
-
-void Oscillator::advance(std::size_t n) {
-  Real buf[kChunk];
-  for (std::size_t i = 0; i < n; i += kChunk) {
-    phases(std::span<Real>(buf, std::min(kChunk, n - i)));
   }
 }
 

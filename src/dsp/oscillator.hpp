@@ -1,7 +1,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <string_view>
+#include <type_traits>
 
 #include "dsp/types.hpp"
 
@@ -12,19 +15,23 @@ namespace ecocap::dsp {
 /// and off-resonant FSK frequencies without phase discontinuities (a phase
 /// jump would itself excite the PZT ring).
 ///
-/// The phase advances by one serial recurrence (add the step, wrap into
-/// [0, 2*pi)); the sines of a block of phases are then taken in one call of
-/// the `kernels::KernelTable::sine` map. Every entry point runs the same
-/// recurrence and the same bit-identical kernel, so `next` x n, `generate`
-/// and `accumulate` give the same bits at any block split, and `advance`
-/// leaves the phase exactly where they would.
+/// The phase lives on an exact integer grid: f/fs reduces to step/grid
+/// (grid <= 2^53; a finer ratio is rounded onto the 2^53 grid, a
+/// resolution of fs * 2^-53 Hz), the oscillator carries an index in
+/// [0, grid) that moves by `step` per sample, and the phase at index k is
+/// offset + (2*pi/grid) * k, wrapped once. No rounding accumulates, so the
+/// phase sequence repeats exactly every `period()` samples and `advance`
+/// is O(1). The sines of a block of phases are taken in one call of the
+/// `kernels::KernelTable::sine` map; `next` x n, `generate` and
+/// `accumulate` give the same bits at any block split.
 class Oscillator {
  public:
   /// @param fs sample rate in Hz
   /// @param frequency initial frequency in Hz
   Oscillator(Real fs, Real frequency);
 
-  /// Change frequency; phase stays continuous.
+  /// Change frequency; the current phase becomes the new offset, so the
+  /// phase stays continuous.
   void set_frequency(Real frequency);
 
   Real frequency() const { return frequency_; }
@@ -45,20 +52,60 @@ class Oscillator {
   /// the sine of — and advance past them.
   void phases(std::span<Real> out);
 
-  /// Advance past the next `n` samples without producing them: the same
-  /// phase recurrence, no sines.
-  void advance(std::size_t n);
+  /// Advance past the next `n` samples without producing them:
+  /// index = (index + n * step) mod grid.
+  void advance(std::uint64_t n);
 
-  /// Current phase in radians, wrapped to [0, 2*pi).
-  Real phase() const { return phase_; }
+  /// Current phase in radians, in [0, 2*pi].
+  Real phase() const { return phase_at(index_); }
 
-  void reset_phase(Real phase = 0.0) { phase_ = phase; }
+  /// Restart the grid at `phase` (radians, in [0, 2*pi]).
+  void reset_phase(Real phase = 0.0) {
+    offset_ = phase;
+    index_ = 0;
+  }
+
+  /// The exact phase grid: `grid()` points per cycle, `step()` of them per
+  /// sample, the current `index()` and the phase `offset()` at index 0.
+  std::uint64_t grid() const { return grid_; }
+  std::uint64_t step() const { return step_; }
+  std::uint64_t index() const { return index_; }
+  Real offset() const { return offset_; }
+
+  /// Samples after which the phase sequence repeats bit for bit:
+  /// grid / gcd(step, grid).
+  std::uint64_t period() const;
+
+  /// Checkpoint records of the phase: the offset under `offset_key` and the
+  /// grid index under `index_key`, bounded to [0, 2*pi] and [0, grid). The
+  /// frequency is configuration and is not stored.
+  template <class Self, class Ar>
+  static void io(Self& self, Ar& ar, std::string_view offset_key,
+                 std::string_view index_key) {
+    Real offset = self.offset_;
+    std::uint64_t index = self.index_;
+    ar.field(offset_key, offset, 0.0, kTwoPi);
+    ar.field(index_key, index, 0, self.grid_ - 1);
+    if constexpr (!std::is_const_v<Self>) {
+      self.offset_ = offset;
+      self.index_ = index;
+    }
+  }
 
  private:
+  Real phase_at(std::uint64_t index) const {
+    const Real p =
+        offset_ + scale_ * static_cast<Real>(static_cast<std::int64_t>(index));
+    return p >= kTwoPi ? p - kTwoPi : p;
+  }
+
   Real fs_;
   Real frequency_;
-  Real phase_ = 0.0;
-  Real step_;
+  Real offset_ = 0.0;
+  Real scale_ = 0.0;  // 2*pi / grid
+  std::uint64_t grid_ = 1;
+  std::uint64_t step_ = 0;
+  std::uint64_t index_ = 0;
 };
 
 /// Convenience: a single tone of `n` samples at frequency f (Hz), fs (Hz).

@@ -66,6 +66,20 @@ class RingingPzt {
   /// amplitude.
   Real ring_decay_time(Real fraction = 0.05) const;
 
+  /// The carried recurrence state: the resonator and both detector
+  /// envelopes. Everything else is configuration.
+  struct State {
+    std::complex<Real> s;
+    Real env = 0.0;
+    Real peak = 0.0;
+  };
+  State state() const { return {s_, env_, peak_}; }
+  void set_state(const State& state) {
+    s_ = state.s;
+    env_ = state.env;
+    peak_ = state.peak;
+  }
+
   /// Bit-exact resonator-state round trip (pole/gain terms are config).
   void save(dsp::ser::Writer& w) const;
   void load(dsp::ser::Reader& r);

@@ -766,6 +766,27 @@ TEST(StrictLoad, OutOfRangeValuesAreRejectedNotNarrowed) {
                std::runtime_error);
 }
 
+TEST(StrictLoad, OscillatorPhasesStayOnTheirGrid) {
+  // The default 230 kHz carrier's grid has 200 points, and an offset is a
+  // phase in [0, 2*pi]: anything else is rejected, not wrapped.
+  const auto& daemon = corpus_entry("streaming_reader.ckpt");
+  const std::string golden = golden_bytes(daemon);
+  for (const char* key : {"tx.phase_index", "uls.si_index"}) {
+    EXPECT_NO_THROW(daemon.resume(with_value(golden, key, "199"))) << key;
+    EXPECT_THROW(daemon.resume(with_value(golden, key, "200")),
+                 std::runtime_error)
+        << key;
+  }
+  for (const char* key : {"tx.phase", "uls.si_phase"}) {
+    EXPECT_THROW(daemon.resume(with_value(golden, key, "0x1.ap+2")),
+                 std::runtime_error)
+        << key;
+    EXPECT_THROW(daemon.resume(with_value(golden, key, "-0x1p-10")),
+                 std::runtime_error)
+        << key;
+  }
+}
+
 TEST(StrictLoad, CorruptCountsAreRejectedBeforeAllocating) {
   const std::string huge = "1000000000000";
   const auto& campaign = corpus_entry("campaign.ckpt");

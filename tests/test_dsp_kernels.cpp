@@ -561,10 +561,32 @@ TEST(KernelEquivalence, PolarScaleBitIdenticalAcrossTables) {
   }
 }
 
+// The exact grid of a frequency at 2 MHz: f/fs = step/grid in lowest
+// terms, or rounded onto 2^53 points when the reduced grid is finer.
+struct GridRef {
+  std::uint64_t step;
+  std::uint64_t grid;
+};
+GridRef grid_at_2mhz(Real f) {
+  if (f == 230.0e3) return {23, 200};
+  if (f == 180.0e3) return {9, 100};
+  if (f == 232.0e3) return {29, 250};
+  constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+  return {static_cast<std::uint64_t>(std::llround(std::ldexp(f / 2.0e6, 53))),
+          k53};
+}
+
+// phase = offset + (2*pi/grid) * index, wrapped once.
+Real grid_phase(Real offset, std::uint64_t index, std::uint64_t grid) {
+  const Real p = offset + kTwoPi / static_cast<Real>(grid) *
+                              static_cast<Real>(index);
+  return p >= kTwoPi ? p - kTwoPi : p;
+}
+
 TEST(KernelUsers, OscillatorEntryPointsAgreeAtAnySplit) {
   // next() x n, generate() over random block splits and accumulate() over
   // zeros must give the same bits, across FSK-style frequency hops, and
-  // leave the phase on the plain recurrence a checkpoint stores.
+  // leave the phase on the grid formula a checkpoint stores.
   constexpr Real kFs = 2.0e6;
   const Real hops[] = {230.0e3, 180.0e3, 230.0e3, 12345.678, 230.0e3};
   constexpr std::size_t kPerHop = 3001;
@@ -575,11 +597,19 @@ TEST(KernelUsers, OscillatorEntryPointsAgreeAtAnySplit) {
   by_next.reset_phase(1.0);
   by_block.reset_phase(1.0);
   by_acc.reset_phase(1.0);
-  Real ref_phase = 1.0;
+  Real ref_offset = 1.0;
+  std::uint64_t ref_index = 0;
+  GridRef g = grid_at_2mhz(hops[0]);
   for (Real f : hops) {
+    // A hop folds the current phase into the offset and restarts the grid.
+    ref_offset = grid_phase(ref_offset, ref_index, g.grid);
+    ref_index = 0;
+    g = grid_at_2mhz(f);
     by_next.set_frequency(f);
     by_block.set_frequency(f);
     by_acc.set_frequency(f);
+    ASSERT_EQ(by_next.grid(), g.grid) << f;
+    ASSERT_EQ(by_next.step(), g.step) << f;
     Signal want(kPerHop);
     for (Real& v : want) v = by_next.next(kAmp);
 
@@ -599,19 +629,96 @@ TEST(KernelUsers, OscillatorEntryPointsAgreeAtAnySplit) {
       i += n;
     }
 
-    const Real step = kTwoPi * f / kFs;
     for (std::size_t i = 0; i < kPerHop; ++i) {
       ASSERT_TRUE(bit_equal(want[i], got[i])) << "f=" << f << " i=" << i;
       ASSERT_TRUE(bit_equal(want[i], acc[i])) << "f=" << f << " i=" << i;
+      const Real ref_phase = grid_phase(ref_offset, ref_index, g.grid);
       ASSERT_LE(std::abs(want[i] - kAmp * std::sin(ref_phase)), 2.3e-16);
-      ref_phase += step;
-      if (ref_phase >= kTwoPi) ref_phase -= kTwoPi;
-      if (ref_phase < 0.0) ref_phase += kTwoPi;
+      ref_index = (ref_index + g.step) % g.grid;
     }
+    const Real ref_phase = grid_phase(ref_offset, ref_index, g.grid);
     ASSERT_TRUE(bit_equal(by_next.phase(), ref_phase)) << f;
     ASSERT_TRUE(bit_equal(by_block.phase(), ref_phase)) << f;
     ASSERT_TRUE(bit_equal(by_acc.phase(), ref_phase)) << f;
   }
+}
+
+TEST(KernelUsers, OscillatorPeriodIsExact) {
+  // 230 kHz / 2 MHz = 23/200: the phase sequence repeats every 200 samples;
+  // dual_reader's second reader 2 kHz up, at 29/250, every 250.
+  constexpr Real kFs = 2.0e6;
+  for (const auto& [f, period] : {std::pair{230.0e3, 200u},
+                                  std::pair{232.0e3, 250u}}) {
+    Oscillator osc(kFs, f);
+    osc.reset_phase(0.3);
+    ASSERT_EQ(osc.period(), period) << f;
+    Signal first(period), again(period);
+    osc.phases(first);
+    osc.phases(again);
+    for (std::size_t i = 0; i < period; ++i) {
+      ASSERT_TRUE(bit_equal(first[i], again[i])) << f << " i=" << i;
+    }
+    ASSERT_TRUE(bit_equal(osc.phase(), 0.3)) << f;
+  }
+}
+
+TEST(KernelUsers, OscillatorAdvanceIsIndexArithmetic) {
+  // advance(n) = (index + n * step) mod grid, for n far beyond any stream,
+  // on both an exact grid and the rounded 2^53 one.
+  constexpr Real kFs = 2.0e6;
+  using u128 = unsigned __int128;
+  for (Real f : {230.0e3, 12345.678}) {
+    Oscillator osc(kFs, f);
+    osc.advance(77);
+    for (std::uint64_t n : {std::uint64_t{0}, std::uint64_t{1},
+                            std::uint64_t{199}, std::uint64_t{1} << 32,
+                            (std::uint64_t{1} << 40) - 3,
+                            std::uint64_t{1} << 40}) {
+      const std::uint64_t before = osc.index();
+      osc.advance(n);
+      const auto want = static_cast<std::uint64_t>(
+          (u128{before} + u128{n} * osc.step()) % osc.grid());
+      ASSERT_EQ(osc.index(), want) << "f=" << f << " n=" << n;
+    }
+  }
+}
+
+TEST(KernelUsers, OscillatorOffGridHopStaysExact) {
+  // 12345.678 Hz does not reduce onto 2^53 points, so its step is rounded
+  // once; after that no rounding accumulates: a million samples later the
+  // phase is still the grid formula's, bit for bit, and within 2^-53 cycle
+  // per sample of the ideal tone.
+  constexpr Real kFs = 2.0e6;
+  constexpr Real kHop = 12345.678;
+  Oscillator osc(kFs, 230.0e3);
+  osc.advance(1234);
+  const Real offset = osc.phase();
+  osc.set_frequency(kHop);
+  const GridRef g = grid_at_2mhz(kHop);
+  ASSERT_EQ(osc.grid(), g.grid);
+  ASSERT_EQ(osc.step(), g.step);
+  ASSERT_TRUE(bit_equal(osc.offset(), offset));
+  Signal ph(4096);
+  std::uint64_t done = 0;
+  for (int round = 0; round < 8; ++round) {
+    osc.advance(123457);
+    done += 123457;
+    osc.phases(ph);
+    for (std::size_t i = 0; i < ph.size(); ++i) {
+      const std::uint64_t n = done + i;
+      const auto index = static_cast<std::uint64_t>(
+          (static_cast<unsigned __int128>(n) * g.step) % g.grid);
+      ASSERT_TRUE(bit_equal(ph[i], grid_phase(offset, index, g.grid)))
+          << "n=" << n;
+    }
+    done += ph.size();
+  }
+  const long double cycles = static_cast<long double>(kHop) / kFs * done;
+  const long double ideal = offset + 2.0L * kPi * (cycles - std::floor(cycles));
+  const long double drift = std::remainder(
+      static_cast<long double>(osc.phase()) - ideal, 2.0L * kPi);
+  EXPECT_LE(std::abs(static_cast<double>(drift)),
+            kTwoPi * std::ldexp(static_cast<double>(done), -53) + 1e-14);
 }
 
 TEST(KernelUsers, OscillatorAdvanceMatchesPhasesAtAnySplit) {

@@ -18,6 +18,7 @@
 #include "core/link_simulator.hpp"
 #include "core/spsc_ring.hpp"
 #include "core/stream_clock.hpp"
+#include "dsp/oscillator.hpp"
 #include "dsp/rng.hpp"
 #include "dsp/serialize.hpp"
 #include "dsp/signal_ops.hpp"
@@ -25,7 +26,10 @@
 #include "phy/bits.hpp"
 #include "phy/carrier.hpp"
 #include "phy/fm0.hpp"
+#include "phy/ring_effect.hpp"
+#include "reader/transmitter.hpp"
 #include "stream/stream_pipeline.hpp"
+#include "stream/stream_stages.hpp"
 #include "stream/streaming_reader.hpp"
 
 namespace {
@@ -349,6 +353,135 @@ TEST(BackscatterModulate, EmptySwitchingIsRestState) {
       0.5 * (params.reflective_gain - params.absorptive_gain) * -1.0;
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i], incident[i] * rest);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// TxStage: the replayed carrier cycle against the plain recurrences
+// ---------------------------------------------------------------------------
+
+// The drive TxStage must reproduce: one oscillator and one PZT, run
+// without any replay.
+struct PlainTx {
+  explicit PlainTx(const ecocap::reader::TransmitterConfig& c)
+      : osc(c.carrier.fs, c.carrier.f_resonant),
+        pzt(c.carrier.fs, c.pzt_resonance, c.pzt_q) {}
+  Signal next(std::size_t n) {
+    Signal x;
+    osc.generate(n, 1.0, x);
+    pzt.drive_inplace(x);
+    return x;
+  }
+  std::string state() const {
+    ecocap::dsp::ser::Writer w("tx-state");
+    ecocap::dsp::Oscillator::io(osc, w, "tx.phase", "tx.phase_index");
+    pzt.save(w);
+    return w.payload();
+  }
+  ecocap::dsp::Oscillator osc;
+  ecocap::phy::RingingPzt pzt;
+};
+
+std::string tx_state(const ecocap::stream::TxStage& tx) {
+  ecocap::dsp::ser::Writer w("tx-state");
+  tx.save(w);
+  return w.payload();
+}
+
+// Fill `n` samples in blocks of `block`; `replay_start` (if given) gets the
+// sample count at which the stage was first seen replaying.
+Signal fill_in_blocks(ecocap::stream::TxStage& tx, std::size_t n,
+                      std::size_t block, std::size_t* replay_start = nullptr) {
+  Signal out, chunk;
+  out.reserve(n);
+  while (out.size() < n) {
+    if (replay_start && tx.replaying() && *replay_start > out.size()) {
+      *replay_start = out.size();
+    }
+    tx.fill_block(std::min(block, n - out.size()), chunk);
+    out.insert(out.end(), chunk.begin(), chunk.end());
+  }
+  return out;
+}
+
+void expect_same_bits(const Signal& got, const Signal& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << ", sample " << i;
+  }
+}
+
+constexpr std::size_t kCarrierPeriod = 200;  // 230 kHz at 2 MHz
+
+TEST(TxStage, ReplayMatchesPlainDriveAtAnyBlockSize) {
+  const ecocap::reader::TransmitterConfig config;
+  constexpr std::size_t kTotal = 80 * kCarrierPeriod + 37;
+  PlainTx plain(config);
+  const Signal ref = plain.next(kTotal);
+  for (std::size_t block : {1u, 7u, 199u, 200u, 256u, 4096u}) {
+    ecocap::stream::TxStage tx(config);
+    std::size_t replay_start = kTotal;
+    const Signal got = fill_in_blocks(tx, kTotal, block, &replay_start);
+    const std::string what = "block " + std::to_string(block);
+    ASSERT_TRUE(tx.replaying()) << what;
+    EXPECT_LE(replay_start, kTotal - 50 * kCarrierPeriod) << what;
+    expect_same_bits(got, ref, what);
+    EXPECT_EQ(tx_state(tx), plain.state()) << what;
+  }
+}
+
+TEST(TxStage, CheckpointAtEveryCycleOffsetResumesByteIdentically) {
+  // save() at each offset of a settled cycle must write the state the plain
+  // recurrence holds there, and a stage loaded from it (which drops the
+  // cycle and detects it again) must continue with the same bytes.
+  const ecocap::reader::TransmitterConfig config;
+  ecocap::stream::TxStage settled(config);
+  PlainTx plain(config);
+  Signal scratch;
+  settled.fill_block(30 * kCarrierPeriod, scratch);
+  plain.next(30 * kCarrierPeriod);
+  ASSERT_TRUE(settled.replaying());
+  for (std::size_t k = 0; k < kCarrierPeriod; ++k) {
+    const std::string what = "offset " + std::to_string(k);
+    ecocap::stream::TxStage run = settled;
+    run.fill_block(k, scratch);
+    PlainTx at_k = plain;
+    at_k.next(k);
+    const std::string ckpt = tx_state(run);
+    ASSERT_EQ(ckpt, at_k.state()) << what;
+
+    ecocap::stream::TxStage resumed(config);
+    ecocap::dsp::ser::Reader r(ckpt, "tx-state");
+    resumed.load(r);
+    r.finish();
+    ASSERT_FALSE(resumed.replaying()) << what;
+    const Signal want = fill_in_blocks(run, 5 * kCarrierPeriod, 64);
+    const Signal got = fill_in_blocks(resumed, 5 * kCarrierPeriod, 7);
+    expect_same_bits(got, want, what);
+    ASSERT_TRUE(resumed.replaying()) << what;
+    ASSERT_EQ(tx_state(resumed), tx_state(run)) << what;
+  }
+}
+
+TEST(TxStage, PeriodAboveTheCapNeverReplays) {
+  ecocap::reader::TransmitterConfig config;
+  config.carrier.f_resonant = 230001.0;  // period 2e6 samples
+  ASSERT_GT(ecocap::dsp::Oscillator(config.carrier.fs,
+                                    config.carrier.f_resonant)
+                .period(),
+            ecocap::stream::TxStage::kMaxReplayPeriod);
+  constexpr std::size_t kTotal = 100 * kCarrierPeriod + 37;
+  PlainTx plain(config);
+  const Signal ref = plain.next(kTotal);
+  for (std::size_t block : {7u, 256u, 4096u}) {
+    ecocap::stream::TxStage tx(config);
+    const std::string what = "block " + std::to_string(block);
+    expect_same_bits(fill_in_blocks(tx, kTotal, block), ref, what);
+    EXPECT_FALSE(tx.replaying()) << what;
+    EXPECT_EQ(tx_state(tx), plain.state()) << what;
   }
 }
 
