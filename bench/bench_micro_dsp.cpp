@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <random>
 #include <span>
 #include <string>
@@ -42,6 +43,7 @@
 #include "phy/ring_effect.hpp"
 #include "reader/receiver.hpp"
 #include "reader/transmitter.hpp"
+#include "stream/stream_stages.hpp"
 
 using namespace ecocap;
 
@@ -731,6 +733,18 @@ void record_headline_metrics(ecocap::bench::BenchJson& json) {
                   }
                   benchmark::DoNotOptimize(block.data());
                 }) / static_cast<double>(drive.size()));
+
+    // The stream's transmit leg once the PZT has rung up: the settled
+    // carrier cycle replayed in 256-sample blocks.
+    stream::TxStage tx(reader::TransmitterConfig{});
+    tx.fill_block(10000, block);
+    if (!tx.replaying()) std::fprintf(stderr, "TxStage did not settle\n");
+    json.metric("tx_stage256_ns_per_sample", time_ns([&] {
+                  for (std::size_t i = 0; i < x.size(); i += 256) {
+                    tx.fill_block(256, block);
+                  }
+                  benchmark::DoNotOptimize(block.data());
+                }) / static_cast<double>(x.size()));
   }
 
   // End-to-end interrogation through the zero-copy stage pipeline: the

@@ -6,8 +6,8 @@
 // real concrete" claim, gated in CI on the block-256 headline run.
 //
 // Also sweeps the block size (the latency/throughput knob) and re-checks
-// the determinism contract the test suite enforces: every block size
-// delivers byte-identical telemetry. Emits
+// the determinism contract the test suite enforces: a block-4096 run as
+// long as the headline delivers byte-identical telemetry. Emits
 // BENCH_stream.json, gated by tools/perf_gate.py.
 
 #include <cstdio>
@@ -88,15 +88,19 @@ int main() {
                 static_cast<unsigned long long>(r.stats.missed));
   }
 
-  // Determinism contract: every block size must have delivered the
-  // identical telemetry stream.
-  bool deterministic = true;
-  for (const auto& r : runs) deterministic = deterministic && same_world(runs[0], r);
-
   // Headline: the configuration the daemons run, block 256.
   const DaemonRun headline = run_daemon(256, headline_s);
   std::printf("# headline: %.3f sim-sec/wall-sec (block 256)\n",
               headline.stats.real_time_factor);
+
+  // Determinism contract: the headline's telemetry again at block 4096.
+  // The sweep runs are too short to carry it (about two readings each).
+  const DaemonRun coarse = run_daemon(4096, headline_s);
+  const bool deterministic = same_world(headline, coarse);
+  std::printf("# block 4096 over the headline's %.1f s: %llu delivered, %s\n",
+              headline_s,
+              static_cast<unsigned long long>(coarse.stats.delivered),
+              deterministic ? "identical telemetry" : "telemetry differs");
   if (!deterministic) {
     std::printf("# WARNING: telemetry differed across block sizes\n");
   }

@@ -45,8 +45,9 @@ fleet — gates the sharded fleet engine + telemetry serving layer:
 
 stream — gates the clocked streaming transceiver:
 
-  * stream_deterministic must be 1 on every host (every block size of the
-    sweep delivered byte-identical telemetry — again never skipped);
+  * stream_deterministic must be 1 on every host (the block-256 headline
+    run and a block-4096 run of the same length delivered byte-identical
+    telemetry — again never skipped);
   * the real-time factor (simulated seconds per wall second of the daemon's
     block-256 headline run) must be >= STREAM_RTF_FLOOR on every host:
     the streaming reader keeps up with a live ADC at fs with margin, on one
