@@ -213,7 +213,7 @@ double time_ns(F&& f, double min_seconds = 0.05) {
 /// ns/element, plus the analytic traffic (bytes/element) and arithmetic
 /// (flops/element) so the ratio against machine peak is computable offline.
 /// Schema in docs/benchmarks.md. `simd_isa` records which table `active()`
-/// resolved to (0 scalar, 1 avx2, 2 neon) so CI can gate speedups only on
+/// resolved to (0 scalar, 1 avx2) so CI can gate speedups only on
 /// SIMD-capable hosts.
 void record_roofline_metrics(ecocap::bench::BenchJson& json) {
   const dsp::kernels::KernelTable& kt = dsp::kernels::active();

@@ -13,9 +13,10 @@ namespace ecocap::dsp::kernels {
 /// loops: FIR dot products, valid-mode template correlation, the resonator
 /// biquad, the envelope detector's rectify+RC pass, and the elastic FDTD
 /// stencil updates. This layer provides one implementation table per
-/// instruction set (AVX2 on x86-64, NEON on AArch64, and a canonical
-/// pragma-vectorizable scalar fallback) and selects one at startup from
-/// CPUID, overridable with the ECOCAP_SIMD environment variable.
+/// instruction set (AVX2 on x86-64, and a canonical pragma-vectorizable
+/// scalar table that every other host, AArch64 included, runs) and selects
+/// one at startup from CPUID, overridable with the ECOCAP_SIMD environment
+/// variable.
 ///
 /// ## Determinism contract
 ///
@@ -51,17 +52,16 @@ namespace ecocap::dsp::kernels {
 /// ## Dispatch
 ///
 /// `active()` resolves once (thread-safe) to the best table the CPU
-/// supports. `ECOCAP_SIMD=scalar|avx2|neon|auto` overrides; requesting an
-/// unavailable ISA falls back to scalar with a stderr note rather than
-/// crashing, so a pinned CI value is portable across runners.
+/// supports. `ECOCAP_SIMD=scalar|avx2|auto` overrides; requesting an
+/// unavailable or unrecognized ISA falls back to scalar with a stderr note
+/// rather than crashing, so a pinned CI value is portable across runners.
 
 enum class Isa {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
 
-/// Human-readable table name ("scalar", "avx2", "neon").
+/// Human-readable table name ("scalar", "avx2").
 const char* isa_name(Isa isa);
 
 /// Words of MT19937-64 state (std::mt19937_64's n).
@@ -209,7 +209,7 @@ const KernelTable& active();
 /// ISA of `active()`.
 Isa active_isa();
 
-/// Parse an ECOCAP_SIMD value ("scalar", "avx2", "neon", "auto"). Returns
+/// Parse an ECOCAP_SIMD value ("scalar", "avx2", "auto"). Returns
 /// true and writes `out` on a recognized name ("auto" reports the best
 /// available ISA); false on anything else.
 bool isa_from_name(const char* name, Isa& out);

@@ -95,16 +95,4 @@ void polar_scale(Real* l, const Real* r2, std::size_t n);
 }  // namespace avx2
 #endif
 
-#if defined(__aarch64__)
-namespace neon {
-Real dot(const Real* a, const Real* b, std::size_t n);
-void correlate_valid(const Real* x, std::size_t nx, const Real* h,
-                     std::size_t nh, Real* out);
-void onepole(const Real* x, Real* y, std::size_t n, Real alpha, Real* state);
-void envelope(const Real* x, Real* y, std::size_t n, Real alpha, Real* state);
-void fdtd_velocity_row(const FdtdVelocityRowArgs& a);
-void fdtd_stress_row(const FdtdStressRowArgs& a);
-}  // namespace neon
-#endif
-
 }  // namespace ecocap::dsp::kernels::detail

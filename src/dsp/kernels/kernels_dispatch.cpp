@@ -36,31 +36,10 @@ const KernelTable kAvx2Table = {
 };
 #endif
 
-#if defined(ECOCAP_KERNELS_NEON) && defined(__aarch64__)
-const KernelTable kNeonTable = {
-    Isa::kNeon,        neon::dot,
-    neon::correlate_valid,
-    // Two lanes hold half a look-ahead step; the canonical scalar loop
-    // serves NEON.
-    scalar::biquad,
-    neon::onepole,     neon::envelope,
-    neon::fdtd_velocity_row, neon::fdtd_stress_row,
-    // Two lanes buy little over the scalar loop; as with the biquad, the
-    // canonical scalar map serves NEON.
-    scalar::sine,
-    // The same holds for the noise kernels: the twist and the polar maps
-    // run the canonical scalar loops.
-    scalar::mt_twist, scalar::polar_candidates, scalar::polar_scale,
-};
-#endif
-
 /// Best table this build + CPU combination can run.
 Isa best_isa() {
 #if defined(ECOCAP_KERNELS_AVX2)
   if (available(Isa::kAvx2)) return Isa::kAvx2;
-#endif
-#if defined(ECOCAP_KERNELS_NEON) && defined(__aarch64__)
-  if (available(Isa::kNeon)) return Isa::kNeon;
 #endif
   return Isa::kScalar;
 }
@@ -74,7 +53,7 @@ const KernelTable* resolve_active() {
     if (!isa_from_name(env, want)) {
       std::fprintf(stderr,
                    "ecocap: unrecognized ECOCAP_SIMD=\"%s\" "
-                   "(scalar|avx2|neon|auto); using scalar kernels\n",
+                   "(scalar|avx2|auto); using scalar kernels\n",
                    env);
       return &kScalarTable;
     }
@@ -99,8 +78,6 @@ const char* isa_name(Isa isa) {
       return "scalar";
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -139,12 +116,6 @@ bool available(Isa isa) {
 #else
       return false;
 #endif
-    case Isa::kNeon:
-#if defined(ECOCAP_KERNELS_NEON) && defined(__aarch64__)
-      return true;  // AdvSIMD is architecturally mandatory on AArch64
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -154,11 +125,6 @@ const KernelTable& table(Isa isa) {
 #if defined(ECOCAP_KERNELS_AVX2)
     case Isa::kAvx2:
       if (available(Isa::kAvx2)) return detail::kAvx2Table;
-      break;
-#endif
-#if defined(ECOCAP_KERNELS_NEON) && defined(__aarch64__)
-    case Isa::kNeon:
-      if (available(Isa::kNeon)) return detail::kNeonTable;
       break;
 #endif
     default:
@@ -183,10 +149,6 @@ bool isa_from_name(const char* name, Isa& out) {
   }
   if (std::strcmp(name, "avx2") == 0) {
     out = Isa::kAvx2;
-    return true;
-  }
-  if (std::strcmp(name, "neon") == 0) {
-    out = Isa::kNeon;
     return true;
   }
   if (std::strcmp(name, "auto") == 0) {

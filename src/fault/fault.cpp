@@ -68,14 +68,6 @@ FaultPlan FaultPlan::max_of(const FaultPlan& a, const FaultPlan& b) {
   p.node.bit_flip_prob = std::max(a.node.bit_flip_prob, b.node.bit_flip_prob);
   p.reader.adc_clip_level =
       std::max(a.reader.adc_clip_level, b.reader.adc_clip_level);
-  p.runtime.crash_prob = std::max(a.runtime.crash_prob, b.runtime.crash_prob);
-  p.runtime.stall_prob = std::max(a.runtime.stall_prob, b.runtime.stall_prob);
-  p.runtime.stall_polls_min =
-      std::max(a.runtime.stall_polls_min, b.runtime.stall_polls_min);
-  p.runtime.stall_polls_max =
-      std::max(a.runtime.stall_polls_max, b.runtime.stall_polls_max);
-  p.runtime.throttle_prob =
-      std::max(a.runtime.throttle_prob, b.runtime.throttle_prob);
   return p;
 }
 
@@ -95,11 +87,6 @@ void io_plan(Plan& p, Ar& ar) {
   ar.field("fp.cap_leak_amps", p.node.cap_leak_amps);
   ar.field("fp.bit_flip_prob", p.node.bit_flip_prob);
   ar.field("fp.adc_clip_level", p.reader.adc_clip_level);
-  ar.field("fp.crash_prob", p.runtime.crash_prob);
-  ar.field("fp.stall_prob", p.runtime.stall_prob);
-  ar.field("fp.stall_polls_min", p.runtime.stall_polls_min);
-  ar.field("fp.stall_polls_max", p.runtime.stall_polls_max);
-  ar.field("fp.throttle_prob", p.runtime.throttle_prob);
 }
 
 }  // namespace
@@ -215,30 +202,6 @@ bool Injector::reply_corrupted() {
   return hit;
 }
 
-bool Injector::runtime_crash() {
-  if (plan_.runtime.crash_prob <= 0.0) return false;
-  const bool hit = rng_.chance(plan_.runtime.crash_prob);
-  if (hit) ++counters_.crashes_injected;
-  return hit;
-}
-
-int Injector::runtime_stall_polls() {
-  const RuntimeFaultPlan& rt = plan_.runtime;
-  if (rt.stall_prob <= 0.0) return 0;
-  if (!rng_.chance(rt.stall_prob)) return 0;
-  ++counters_.stalls_injected;
-  const int lo = std::max(1, rt.stall_polls_min);
-  const int hi = std::max(lo, rt.stall_polls_max);
-  return lo + static_cast<int>(rng_.index(static_cast<std::size_t>(hi - lo + 1)));
-}
-
-bool Injector::runtime_throttled() {
-  if (plan_.runtime.throttle_prob <= 0.0) return false;
-  const bool hit = rng_.chance(plan_.runtime.throttle_prob);
-  if (hit) ++counters_.throttles_injected;
-  return hit;
-}
-
 template <class Self, class Ar>
 void Injector::io(Self& self, Ar& ar) {
   auto& c = self.counters_;
@@ -252,9 +215,6 @@ void Injector::io(Self& self, Ar& ar) {
   ar.field("inj.clipped", c.clipped_samples);
   ar.field("inj.replies_lost", c.replies_lost);
   ar.field("inj.replies_corrupted", c.replies_corrupted);
-  ar.field("inj.crashes", c.crashes_injected);
-  ar.field("inj.stalls", c.stalls_injected);
-  ar.field("inj.throttles", c.throttles_injected);
 }
 
 void Injector::save(dsp::ser::Writer& w) const { io(*this, w); }

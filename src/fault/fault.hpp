@@ -19,6 +19,8 @@ using dsp::Signal;
 /// Deterministic, seed-driven fault injection for the reader <-> capsule
 /// pipeline (paper §5: the evaluation lives where things go wrong — cold
 /// start brownouts, collision slots, self-interference, rebar scatter).
+/// It covers the signal path only: process faults (daemon crashes, stalls,
+/// collector throttles) are scripted runtime::ChaosEvents.
 ///
 /// A FaultPlan is pure configuration; an Injector binds a plan to a
 /// (base seed, trial index) pair and draws every fault decision from its
@@ -90,41 +92,13 @@ struct ReaderFaultPlan {
   bool empty() const { return adc_clip_level <= 0.0; }
 };
 
-/// Runtime-layer (process-level) chaos: faults that hit the *daemon*, not
-/// the waveform. One draw per hook per poll, so a chaos run is exactly as
-/// replayable as a signal-fault run — the DaemonSupervisor's per-daemon
-/// injector realizes the same crash/stall schedule on every replay of
-/// (plan, seed, daemon index).
-struct RuntimeFaultPlan {
-  /// Probability (per poll) that the daemon "crashes": its thread throws
-  /// after the poll completes, and the supervisor must restart it from its
-  /// last checkpoint.
-  Real crash_prob = 0.0;
-  /// Probability (per poll) that the pipeline stalls — the daemon goes
-  /// silent (no heartbeat, no progress) for a drawn number of polls, which
-  /// is what the watchdog's hung-daemon detection has to catch.
-  Real stall_prob = 0.0;
-  int stall_polls_min = 1;
-  int stall_polls_max = 3;
-  /// Probability (per poll) that the telemetry consumer is throttled —
-  /// the collector stops draining the daemon's event ring for one poll, so
-  /// sustained overload exercises the ring's overflow policy.
-  Real throttle_prob = 0.0;
-
-  bool empty() const {
-    return crash_prob <= 0.0 && stall_prob <= 0.0 && throttle_prob <= 0.0;
-  }
-};
-
 struct FaultPlan {
   ChannelFaultPlan channel;
   NodeFaultPlan node;
   ReaderFaultPlan reader;
-  RuntimeFaultPlan runtime;
 
   bool empty() const {
-    return channel.empty() && node.empty() && reader.empty() &&
-           runtime.empty();
+    return channel.empty() && node.empty() && reader.empty();
   }
 
   /// Canonical single-knob plan for sweeps: every impairment scales
@@ -178,9 +152,6 @@ class Injector {
     int clipped_samples = 0;
     int replies_lost = 0;
     int replies_corrupted = 0;
-    int crashes_injected = 0;
-    int stalls_injected = 0;
-    int throttles_injected = 0;
   };
   const Counters& counters() const { return counters_; }
 
@@ -218,19 +189,6 @@ class Injector {
   /// flips into "the reply failed CRC". One draw each per exchange attempt.
   bool reply_lost();
   bool reply_corrupted();
-
-  // --- runtime layer (process-level chaos) --------------------------------
-  /// One draw per poll: should the daemon crash after this poll? The
-  /// supervisor's chaos harness turns a hit into a thrown exception inside
-  /// the daemon thread.
-  bool runtime_crash();
-
-  /// One (or two) draws per poll: 0 when the pipeline does not stall this
-  /// poll, otherwise the drawn stall length in polls.
-  int runtime_stall_polls();
-
-  /// One draw per poll: is the telemetry consumer throttled this poll?
-  bool runtime_throttled();
 
   /// Bit-exact round trip of the injector's *state* (RNG stream position,
   /// lazily drawn drift factor, realized-fault counters). The plan is

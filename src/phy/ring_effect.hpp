@@ -56,8 +56,6 @@ class RingingPzt {
   void reset();
 
   Real resonance() const { return resonance_; }
-  Real quality_factor() const { return q_; }
-  Real loaded_quality_factor() const { return loaded_q_; }
 
   /// Free ring-down time constant tau = Q / (pi f0), seconds.
   Real ring_time_constant() const;

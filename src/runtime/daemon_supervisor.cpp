@@ -12,11 +12,6 @@ namespace ecocap::runtime {
 
 namespace {
 
-/// Seed salt of the supervisor-owned chaos injectors (one per daemon),
-/// disjoint from every pipeline draw-stream salt so runtime chaos never
-/// perturbs a signal, node, or link realization.
-constexpr std::uint64_t kChaosSalt = 0x7a40;
-
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -62,9 +57,6 @@ DaemonSupervisor::DaemonSupervisor(RuntimeConfig config)
     d->config = config_.daemons[i];
     d->config.shared_store = &store_;
     d->config.store_node = i;
-    fault::FaultPlan chaos_plan;
-    chaos_plan.runtime = config_.chaos;
-    d->chaos = fault::Injector(chaos_plan, config_.chaos_seed, kChaosSalt + i);
     for (const auto& ev : config_.script) {
       if (ev.daemon == i) d->script.push_back(ev);
     }
@@ -157,19 +149,6 @@ void DaemonSupervisor::apply_chaos(Daemon& d, std::size_t i) {
       case ChaosEvent::Kind::kThrottle:
         throttle_ms += static_cast<double>(ev.arg);
         break;
-    }
-  }
-
-  // Probabilistic chaos: a fixed set of draws per poll from the daemon's
-  // seeded injector. The injector is supervisor-owned and does NOT rewind
-  // on restart — it models the environment, so replayed polls face fresh
-  // (still seeded-deterministic) weather.
-  if (d.chaos.active()) {
-    if (d.chaos.runtime_crash()) crash = true;
-    const int stall_polls = d.chaos.runtime_stall_polls();
-    if (stall_polls > 0) stall_units += static_cast<std::uint64_t>(stall_polls);
-    if (d.chaos.runtime_throttled()) {
-      throttle_ms += config_.heartbeat_timeout_ms;
     }
   }
 

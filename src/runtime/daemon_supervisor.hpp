@@ -27,11 +27,12 @@ struct PollEvent {
   float value = 0.0f;
 };
 
-/// A scripted runtime fault — the precise form of chaos (the probabilistic
-/// form rides `fault::RuntimeFaultPlan`). `at_poll` is the daemon's
-/// cumulative poll index at which the event fires, so a scripted crash hits
-/// the same simulated instant no matter how wall time unfolds; each event
-/// fires exactly once (a restarted daemon does not replay it).
+/// A scripted runtime fault, the supervisor's only form of chaos
+/// (fault::FaultPlan models the signal path, never the process). `at_poll`
+/// is the daemon's cumulative poll index at which the event fires, so a
+/// scripted crash hits the same simulated instant no matter how wall time
+/// unfolds; each event fires exactly once (a restarted daemon does not
+/// replay it).
 struct ChaosEvent {
   enum class Kind {
     kCrash,     ///< daemon thread throws; watchdog must restart it
@@ -68,13 +69,6 @@ struct RuntimeConfig {
   /// Watchdog cadence and the heartbeat age that declares a daemon hung.
   double watchdog_interval_ms = 2.0;
   double heartbeat_timeout_ms = 250.0;
-  /// Probabilistic chaos: per-poll draws from a supervisor-owned
-  /// fault::Injector per daemon (seeded from `chaos_seed` + daemon index;
-  /// independent of every pipeline draw stream). For byte-identity checks
-  /// use `script` instead — probabilistic chaos is deterministic in its
-  /// draw sequence but its interleaving with restarts is not replayed.
-  fault::RuntimeFaultPlan chaos;
-  std::uint64_t chaos_seed = 0;
   /// Scripted chaos (precise, exactly-once; see ChaosEvent).
   std::vector<ChaosEvent> script;
   /// Collector-side observer, invoked on the collector thread for every
@@ -139,8 +133,8 @@ struct RuntimeStats {
 ///  * **Backpressure**: poll events flow over bounded SpscRings under an
 ///    explicit Overflow policy; drops are counted exactly (push() returns
 ///    the eviction count) and fed back into the checkpointed reader stats.
-///  * **Chaos**: scripted ChaosEvents fire at exact poll indices;
-///    probabilistic chaos draws per-poll from seeded fault::Injectors.
+///  * **Chaos**: scripted ChaosEvents fire once each at exact poll
+///    indices; inject_crash/inject_stall fire at the next poll boundary.
 ///
 /// Thread-safety: construct, call run() once, read the returned stats.
 /// inject_crash/inject_stall may be called from any thread while run() is
@@ -194,7 +188,6 @@ class DaemonSupervisor {
     std::string checkpoint;
 
     // Daemon-thread-private (handed to the restart thread via join()).
-    fault::Injector chaos;
     std::vector<ChaosEvent> script;  // this daemon's events, by at_poll
     std::size_t next_script = 0;
     bool last_delivered = false;     // set by the reader's poll hook

@@ -27,10 +27,6 @@ Real PistonBeam::footprint_radius(Real depth) const {
   return depth * std::tan(half_beam_angle());
 }
 
-Real PistonBeam::near_field_length() const {
-  return diameter * diameter * frequency / (4.0 * velocity);
-}
-
 PistonBeam make_beam(Real diameter, Real frequency, const Material& medium,
                      WaveMode mode) {
   return PistonBeam{diameter, frequency, medium.velocity(mode)};

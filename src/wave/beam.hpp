@@ -23,10 +23,6 @@ struct PistonBeam {
   /// Radius of the insonified disc at the far side of a wall of thickness
   /// `depth`.
   Real footprint_radius(Real depth) const;
-
-  /// Near-field (Fresnel) length N = D^2 f / (4 c); beyond it the beam
-  /// diverges at the half-beam angle.
-  Real near_field_length() const;
 };
 
 /// Convenience constructor from a medium.

@@ -1,7 +1,5 @@
 #include "wave/boundary.hpp"
 
-#include <cmath>
-
 namespace ecocap::wave {
 
 Real reflection_coefficient(const Material& from, const Material& into,
@@ -12,11 +10,6 @@ Real reflection_coefficient(const Material& from, const Material& into,
   const Real z2 = into.impedance(mode);
   if (z1 + z2 <= 0.0) return 1.0;
   return (z1 - z2) / (z1 + z2);
-}
-
-Real transmission_coefficient(const Material& from, const Material& into,
-                              WaveMode mode) {
-  return 1.0 - std::abs(reflection_coefficient(from, into, mode));
 }
 
 Real energy_reflectance(const Material& from, const Material& into,

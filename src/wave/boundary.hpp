@@ -11,12 +11,6 @@ namespace ecocap::wave {
 Real reflection_coefficient(const Material& from, const Material& into,
                             WaveMode mode = WaveMode::kPrimary);
 
-/// Amplitude transmission coefficient at normal incidence: T = 1 - |R| is
-/// the paper's usage ("67% energy conducted"); we expose both the pressure
-/// transmission 2*Z2/(Z1+Z2) and the simplified energy fraction.
-Real transmission_coefficient(const Material& from, const Material& into,
-                              WaveMode mode = WaveMode::kPrimary);
-
 /// Fraction of incident *energy* reflected at normal incidence: R^2 expressed
 /// via impedances — ((Z2-Z1)/(Z2+Z1))^2.
 Real energy_reflectance(const Material& from, const Material& into,

@@ -3,8 +3,8 @@
 // poisoning, bit-exact StreamingReader checkpoint/resume, and the
 // DaemonSupervisor's chaos acceptance — scripted crashes, a stall, and a
 // slow-consumer throttle, after which the recovered fleet's telemetry is
-// byte-identical to a crash-free run. A seeded probabilistic soak rides the
-// `slow` label.
+// byte-identical to a crash-free run. A soak of randomly drawn scripted
+// chaos rides the `slow` label.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/spsc_ring.hpp"
+#include "dsp/rng.hpp"
 #include "dsp/serialize.hpp"
 #include "fleet/telemetry_store.hpp"
 #include "runtime/daemon_supervisor.hpp"
@@ -376,6 +377,10 @@ TEST(DaemonSupervisor, ChaosRecoveryIsByteIdenticalToCrashFreeRun) {
       // ...and after one (resume-from-checkpoint path).
       {0, 7, Chaos::Kind::kCrash, 1},
       {1, 5, Chaos::Kind::kCrash, 1},
+      // A crash before the first poll: that restart recovers no new polls,
+      // the watchdog's hung-detection backoff branch (a later scripted
+      // event always fires past the poll the previous one stopped at).
+      {1, 0, Chaos::Kind::kCrash, 1},
       // A hung pipeline the watchdog must reclaim.
       {1, 9, Chaos::Kind::kStall, 2},
       // A slow consumer stressing the event rings.
@@ -395,11 +400,11 @@ TEST(DaemonSupervisor, ChaosRecoveryIsByteIdenticalToCrashFreeRun) {
     scratch += d.restarted_from_scratch;
     EXPECT_EQ(d.restarts, d.resumed_from_checkpoint + d.restarted_from_scratch);
   }
-  EXPECT_GE(crashes, 3u);
+  EXPECT_GE(crashes, 4u);
   EXPECT_GE(stalls, 1u);
   EXPECT_GE(kicks, 1u) << "the stalled daemon must be detected as hung";
   EXPECT_GE(resumed, 1u);
-  EXPECT_GE(scratch, 1u);
+  EXPECT_GE(scratch, 2u);
   EXPECT_GE(chaos_stats.total_restarts(), 4u);
   EXPECT_GE(chaos_stats.throttles, 1u);
 
@@ -533,24 +538,47 @@ TEST(DaemonSupervisor, CountsFailedCheckpointWritesAndKeepsResuming) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded probabilistic chaos soak (slow label)
+// Seeded random chaos soak (slow label)
 // ---------------------------------------------------------------------------
 
-// Random crashes/stalls/throttles from the seeded runtime fault plan while
-// three daemons stream. Asserts the fleet survives (every daemon finishes),
-// the store's torn-read invariants hold under concurrent query load, drop
-// accounting stays exact, and no decode workspace buffer leaked.
+// Random crashes/stalls/throttles while three daemons stream: the script is
+// drawn up front from a seeded Rng, one draw per kind per (daemon, poll).
+// Asserts the fleet survives (every daemon finishes), each drawn event
+// fires exactly once, the store's torn-read invariants hold under
+// concurrent query load, and drop accounting stays exact. That no decode
+// workspace buffer leaks across a crash/resume is checked by
+// StreamingReaderCheckpoint.ResumeReplaysByteIdentically.
 TEST(DaemonSupervisorSoak, SurvivesSeededRandomChaos) {
+  using Chaos = ecocap::runtime::ChaosEvent;
   constexpr std::uint64_t kPolls = 24;
-  auto config = fleet_config(3, kPolls);
-  config.chaos.crash_prob = 0.04;
-  config.chaos.stall_prob = 0.02;
-  config.chaos.stall_polls_min = 1;
-  config.chaos.stall_polls_max = 1;
-  config.chaos.throttle_prob = 0.05;
-  config.chaos_seed = 0xec0cafe;
+  constexpr std::size_t kDaemons = 3;
+  auto config = fleet_config(kDaemons, kPolls);
   config.checkpoint_dir = ::testing::TempDir();
   config.event_ring_capacity = 8;
+
+  // Per-poll rates: crash 0.04, one-unit stall 0.02, and a throttle of one
+  // heartbeat timeout at 0.05.
+  ecocap::dsp::Rng rng(0xec0cafe);
+  std::vector<std::uint64_t> crashes(kDaemons, 0), stalls(kDaemons, 0);
+  std::uint64_t throttles = 0;
+  for (std::size_t i = 0; i < kDaemons; ++i) {
+    for (std::uint64_t poll = 0; poll < kPolls; ++poll) {
+      if (rng.chance(0.04)) {
+        config.script.push_back({i, poll, Chaos::Kind::kCrash, 1});
+        ++crashes[i];
+      }
+      if (rng.chance(0.02)) {
+        config.script.push_back({i, poll, Chaos::Kind::kStall, 1});
+        ++stalls[i];
+      }
+      if (rng.chance(0.05)) {
+        config.script.push_back(
+            {i, poll, Chaos::Kind::kThrottle,
+             static_cast<std::uint64_t>(config.heartbeat_timeout_ms)});
+        ++throttles;
+      }
+    }
+  }
 
   ecocap::runtime::DaemonSupervisor supervisor(config);
 
@@ -589,11 +617,14 @@ TEST(DaemonSupervisorSoak, SurvivesSeededRandomChaos) {
     const auto& d = stats.daemons[i];
     EXPECT_EQ(d.polls_done, kPolls) << "daemon " << i << " did not finish";
     EXPECT_GT(d.reader.delivered, 0u);
+    EXPECT_EQ(d.crashes, crashes[i]) << "daemon " << i;
+    EXPECT_EQ(d.stalls, stalls[i]) << "daemon " << i;
     pushed += d.events_pushed;
     dropped += d.events_dropped;
   }
   EXPECT_EQ(pushed, stats.events_collected + dropped);
-  // The plan is hot enough that *some* chaos fired across 3 x 24 polls
+  EXPECT_EQ(stats.throttles, throttles);
+  // The rates are hot enough that *some* chaos fired across 3 x 24 polls
   // (3 draws/poll at p >= 0.02 each; the seed makes this deterministic).
   std::uint64_t chaos_seen = 0;
   for (const auto& d : stats.daemons) {
