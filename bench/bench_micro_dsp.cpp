@@ -490,12 +490,13 @@ void record_roofline_metrics(ecocap::bench::BenchJson& json) {
   }
 
   // Polar maps over one state block (156 pairs, L1-resident): accepted
-  // candidates from 312 words, then the scale of each accepted pair,
+  // candidates from 312 words, then the multiplier of each accepted pair,
   // through the canonical scalar table vs the dispatched one. Per pair:
   // 16 B of words read, x, y, r2 and the pair index written, r2 re-read
-  // with the log in place (72 B); flops count 6 per word (halves, sum,
-  // scale, clamp, 2u - 1), 3 for r2, 2 for the acceptance test and 3 for
-  // the scale (mul, div, sqrt).
+  // and the multiplier written (64 B); flops count 6 per word (halves,
+  // sum, scale, clamp, 2u - 1), 3 for r2, 2 for the acceptance test and 32
+  // for the multiplier (the log's reduction 4, polynomial 15 and
+  // reconstruction 10, then mul, div, sqrt).
   {
     constexpr std::size_t kPairs = dsp::kernels::kMtStateWords / 2;
     std::mt19937_64 words_rng(5);
@@ -507,25 +508,22 @@ void record_roofline_metrics(ecocap::bench::BenchJson& json) {
         const std::size_t got =
             t.polar_candidates(words.data(), kPairs, x.data(), y.data(),
                                r2.data(), pair.data());
-        // r2 stands in for its log: the map's cost does not depend on it.
-        std::copy_n(r2.begin(), got, m.begin());
         t.polar_scale(m.data(), r2.data(), got);
         benchmark::DoNotOptimize(m.data());
       });
     };
     const double seed_ns = polar(dsp::kernels::scalar_table());
     const double simd_ns = polar(kt);
-    per_elem("polar", seed_ns, simd_ns, static_cast<double>(kPairs), 72.0,
-             20.0);
+    per_elem("polar", seed_ns, simd_ns, static_cast<double>(kPairs), 64.0,
+             49.0);
   }
 
   // Channel noise over 64k samples: the per-sample std::normal_distribution
-  // loop over std::mt19937_64 vs dsp::add_awgn's block polar draws, which
-  // reproduce that loop's values bit for bit. The block-256 row is the
-  // stream's call size; the log row is the libm floor (one std::log per
-  // accepted pair, i.e. per two samples). The first three rows alternate
-  // over several rounds and each keeps its fastest, so host drift between
-  // them does not read as a gap.
+  // loop over std::mt19937_64 vs dsp::add_awgn's block polar draws (the
+  // same polar walk, with the multiplier's log from the kernel table
+  // instead of libm). The block-256 row is the stream's call size. The
+  // rows alternate over several rounds and each keeps its fastest, so host
+  // drift between them does not read as a gap.
   {
     dsp::Signal y = dsp::tone(1.0e6, 30.0e3, 1 << 16, 1.0);
     const dsp::Real sigma = 0.01;
@@ -549,23 +547,10 @@ void record_roofline_metrics(ecocap::bench::BenchJson& json) {
         benchmark::DoNotOptimize(y);
       }, 0.02));
     }
-    dsp::Signal r2(4096);
-    for (dsp::Real& v : r2) {
-      const dsp::Real a = 2.0 * rng.uniform() - 1.0;
-      const dsp::Real b = 2.0 * rng.uniform() - 1.0;
-      v = std::max(a * a + b * b, 0x1p-60) / 2.0;  // spread over (0, 1]
-    }
-    dsp::Signal logs(r2.size());
-    const double log_ns = time_ns([&] {
-      for (std::size_t i = 0; i < r2.size(); ++i) logs[i] = std::log(r2[i]);
-      benchmark::DoNotOptimize(logs.data());
-    });
     const double n = static_cast<double>(y.size());
     json.metric("awgn_seed_ns_per_sample", seed_ns / n);
     json.metric("awgn_block_ns_per_sample", block_ns / n);
     json.metric("awgn_block256_ns_per_sample", block256_ns / n);
-    json.metric("awgn_log_ns_per_call",
-                log_ns / static_cast<double>(r2.size()));
     json.metric("kern_awgn_speedup", seed_ns / block_ns);
   }
 }

@@ -26,9 +26,11 @@ namespace ecocap::dsp::kernels {
 ///  * **Elementwise maps** (the FDTD velocity/stress stencils, rectify, the
 ///    carrier sine, the polar candidates and the polar scale) are computed
 ///    with exactly the scalar expression's operation order and no FMA
-///    contraction — bit-identical across tables by construction. The polar
-///    candidates keep the accepted pairs in order, so their compaction is
-///    exact too.
+///    contraction — bit-identical across tables by construction. The sine
+///    and the polar scale's log are fixed polynomials, not libm calls, so
+///    no libm variant picked at run time from the CPU enters their bits.
+///    The polar candidates keep the accepted pairs in order, so their
+///    compaction is exact too.
 ///  * **Integer maps** (the MT19937-64 twist) are exact on every table.
 ///  * **Reductions** (dot, correlate) use a *canonical striped order*: eight
 ///    interleaved partial sums over index residues mod 8, combined as
@@ -188,9 +190,13 @@ struct KernelTable {
                                   Real* x, Real* y, Real* r2,
                                   std::uint64_t* pair);
 
-  /// Polar scale, in place: given l[i] = log(r2[i]), writes
-  /// l[i] = sqrt(-2 * l[i] / r2[i]) in that operation order.
-  void (*polar_scale)(Real* l, const Real* r2, std::size_t n);
+  /// Marsaglia-polar multiplier m[i] = sqrt(-2 * log(r2[i]) / r2[i]) for
+  /// accepted radii 2^-106 <= r2[i] <= 1 (the smallest nonzero r2 the
+  /// candidates give), in that operation order. The log is fdlibm's
+  /// __ieee754_log polynomial in one branch-free expression without FMA
+  /// (see kernels_detail.hpp); within 1 ulp of std::log, so m is within
+  /// 1 ulp of the multiplier over std::log.
+  void (*polar_scale)(Real* m, const Real* r2, std::size_t n);
 };
 
 /// The canonical scalar table (always available).

@@ -431,16 +431,52 @@ std::size_t polar_candidates(const std::uint64_t* w, std::size_t pairs,
   return k;
 }
 
-void polar_scale(Real* l, const Real* r2, std::size_t n) {
-  const __m256d minus_two = _mm256_set1_pd(-2.0);
+void polar_scale(Real* m, const Real* r2, std::size_t n) {
+  using namespace log_coeffs;
+  const auto k = [](Real c) { return _mm256_set1_pd(c); };
+  const auto c = [](std::uint64_t v) {
+    return _mm256_set1_epi64x(static_cast<long long>(v));
+  };
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d q = _mm256_div_pd(
-        _mm256_mul_pd(minus_two, _mm256_loadu_pd(l + i)),
-        _mm256_loadu_pd(r2 + i));
-    _mm256_storeu_pd(l + i, _mm256_sqrt_pd(q));
+    const __m256d r = _mm256_loadu_pd(r2 + i);
+    const __m256i b = _mm256_castpd_si256(r);
+    const __m256i hx = _mm256_and_si256(_mm256_srli_epi64(b, 32), c(0xfffff));
+    const __m256i half =
+        _mm256_and_si256(_mm256_add_epi64(hx, c(kHalfUp)), c(0x100000));
+    const __m256d x = _mm256_castsi256_pd(_mm256_or_si256(
+        _mm256_slli_epi64(
+            _mm256_or_si256(hx, _mm256_xor_si256(half, c(0x3ff00000))), 32),
+        _mm256_and_si256(b, c(0xffffffff))));
+    // The biased exponent plus the halving, in [0, 2047], placed in the
+    // mantissa of 2^52: subtracting 2^52 + 1023 gives k exactly.
+    const __m256i e =
+        _mm256_add_epi64(_mm256_srli_epi64(b, 52), _mm256_srli_epi64(half, 20));
+    const __m256d kd = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(e, c(0x4330000000000000ULL))),
+        k(0x1p52 + 1023.0));
+    const __m256d f = _mm256_sub_pd(x, k(1.0));
+    const __m256d s = _mm256_div_pd(f, _mm256_add_pd(k(2.0), f));
+    const __m256d z = _mm256_mul_pd(s, s);
+    const __m256d w = _mm256_mul_pd(z, z);
+    // Horner steps a + w*b, spelled out in the scalar table's order.
+    const auto horner = [&](Real a, __m256d b) {
+      return _mm256_add_pd(k(a), _mm256_mul_pd(w, b));
+    };
+    const __m256d t1 = _mm256_mul_pd(w, horner(kLg2, horner(kLg4, k(kLg6))));
+    const __m256d t2 = _mm256_mul_pd(
+        z, horner(kLg1, horner(kLg3, horner(kLg5, k(kLg7)))));
+    const __m256d rr = _mm256_add_pd(t2, t1);
+    const __m256d hfsq = _mm256_mul_pd(_mm256_mul_pd(k(0.5), f), f);
+    const __m256d inner = _mm256_sub_pd(
+        hfsq, _mm256_add_pd(_mm256_mul_pd(s, _mm256_add_pd(hfsq, rr)),
+                            _mm256_mul_pd(kd, k(kLn2Lo))));
+    const __m256d l = _mm256_sub_pd(_mm256_mul_pd(kd, k(kLn2Hi)),
+                                    _mm256_sub_pd(inner, f));
+    const __m256d q = _mm256_div_pd(_mm256_mul_pd(k(-2.0), l), r);
+    _mm256_storeu_pd(m + i, _mm256_sqrt_pd(q));
   }
-  if (i < n) scalar::polar_scale(l + i, r2 + i, n - i);
+  if (i < n) scalar::polar_scale(m + i, r2 + i, n - i);
 }
 
 }  // namespace ecocap::dsp::kernels::detail::avx2

@@ -24,8 +24,22 @@ namespace ecocap::dsp {
 /// is O(1). The sines of a block of phases are taken in one call of the
 /// `kernels::KernelTable::sine` map; `next` x n, `generate` and
 /// `accumulate` give the same bits at any block split.
+///
+/// Because the sequence repeats, the block calls (`generate`, `accumulate`)
+/// replay it: when `period() <= kMaxTablePeriod`, the first block call
+/// stores the period's outputs of the `sine` kernel at amplitude 1.0, in
+/// sample order, and every block call then reads that table and multiplies
+/// by the amplitude — the kernel's own last step, so the bytes are the
+/// kernel's. The table is derived state: it is never saved, and
+/// `set_frequency`, `reset_phase` and a load (`io`) that changes the offset
+/// or lands on another index residue mod gcd(step, grid) drop it.
 class Oscillator {
  public:
+  /// Longest period, in samples, the block calls replay from a table
+  /// (8 bytes per sample); `stream::TxStage` replays its settled carrier
+  /// cycle under the same cap.
+  static constexpr std::uint64_t kMaxTablePeriod = 4096;
+
   /// @param fs sample rate in Hz
   /// @param frequency initial frequency in Hz
   Oscillator(Real fs, Real frequency);
@@ -63,6 +77,7 @@ class Oscillator {
   void reset_phase(Real phase = 0.0) {
     offset_ = phase;
     index_ = 0;
+    table_.clear();
   }
 
   /// The exact phase grid: `grid()` points per cycle, `step()` of them per
@@ -76,6 +91,9 @@ class Oscillator {
   /// grid / gcd(step, grid).
   std::uint64_t period() const;
 
+  /// Whether the block calls hold a table of the period's unit sines.
+  bool has_table() const { return !table_.empty(); }
+
   /// Checkpoint records of the phase: the offset under `offset_key` and the
   /// grid index under `index_key`, bounded to [0, 2*pi] and [0, grid). The
   /// frequency is configuration and is not stored.
@@ -86,13 +104,22 @@ class Oscillator {
     std::uint64_t index = self.index_;
     ar.field(offset_key, offset, 0.0, kTwoPi);
     ar.field(index_key, index, 0, self.grid_ - 1);
-    if constexpr (!std::is_const_v<Self>) {
-      self.offset_ = offset;
-      self.index_ = index;
-    }
+    if constexpr (!std::is_const_v<Self>) self.restore(offset, index);
   }
 
  private:
+  static constexpr std::size_t kNoTable = ~std::size_t{0};
+
+  /// Sets the loaded phase, dropping the table unless it still holds the
+  /// sequence through `index` from this offset.
+  void restore(Real offset, std::uint64_t index);
+  /// Table position of the current index, building the table if there is
+  /// none; kNoTable when the period is above kMaxTablePeriod.
+  std::size_t table_position();
+  /// Writes (add false) or adds (add true) the next `x.size()` samples from
+  /// the table and advances past them; false, doing nothing, without one.
+  bool replay(std::span<Real> x, Real amplitude, bool add);
+
   Real phase_at(std::uint64_t index) const {
     const Real p =
         offset_ + scale_ * static_cast<Real>(static_cast<std::int64_t>(index));
@@ -106,6 +133,9 @@ class Oscillator {
   std::uint64_t grid_ = 1;
   std::uint64_t step_ = 0;
   std::uint64_t index_ = 0;
+  Signal table_;  // unit sines of one period from index table_start_ on
+  std::uint64_t table_start_ = 0;
+  std::uint64_t table_inverse_ = 0;  // (step / gcd)^-1 mod period
 };
 
 /// Convenience: a single tone of `n` samples at frequency f (Hz), fs (Hz).

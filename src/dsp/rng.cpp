@@ -127,11 +127,9 @@ void Rng::draw_gaussian(Real* out, std::size_t n, Real sigma) {
     // libstdc++'s operation order, y first and x carried as the spare; only
     // the last pair can be half used.
     const std::size_t full = std::min(take, (n - i) / 2);
-    // libstdc++'s mult = sqrt(-2 * log(r2) / r2): log is the one scalar
-    // step, called once per pair whose values are kept — every pair when
-    // writing, only a split last pair's spare when skipping.
+    // mult = sqrt(-2 * log(r2) / r2), for each pair whose values are kept:
+    // every pair when writing, only a split last pair's spare when skipping.
     const std::size_t first = out ? 0 : full;
-    for (std::size_t j = first; j < take; ++j) m[j] = std::log(r2[j]);
     kernels::active().polar_scale(m + first, r2 + first, take - first);
     if (out) {
       Real* o = out + i;
@@ -179,7 +177,8 @@ void Rng::load(std::istream& is) {
   is >> mean >> stddev >> spare_available;
   if (spare_available) is >> spare;
   is >> lo >> hi;
-  if (!is.fail() && (mean != 0.0 || stddev != 1.0 || lo != 0.0 || hi != 1.0)) {
+  if (!is.fail() && (mean != 0.0 || stddev != 1.0 || lo != 0.0 || hi != 1.0 ||
+                     !(std::abs(spare) <= kMaxSpare))) {
     is.setstate(std::ios_base::failbit);
   }
   if (!is.fail()) {

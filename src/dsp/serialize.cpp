@@ -176,8 +176,11 @@ std::vector<std::uint64_t> Reader::u64_vec(std::string_view key) {
 
 void Reader::rng(std::string_view key, Rng& r) {
   std::istringstream is(kv(key));
-  r.load(is);
+  Rng loaded = r;
+  loaded.load(is);
   if (is.fail()) reject(key, "bad rng state");
+  if (!(is >> std::ws).eof()) reject(key, "trailing text after the rng state");
+  r = loaded;
 }
 
 std::size_t Reader::count(std::string_view key) {

@@ -30,7 +30,9 @@ bool same_bits(const phy::RingingPzt::State& a,
 TxStage::TxStage(const reader::TransmitterConfig& config)
     : osc_(config.carrier.fs, config.carrier.f_resonant),
       pzt_(config.carrier.fs, config.pzt_resonance, config.pzt_q),
-      period_(osc_.period() <= kMaxReplayPeriod ? osc_.period() : 0),
+      period_(osc_.period() <= dsp::Oscillator::kMaxTablePeriod
+                  ? osc_.period()
+                  : 0),
       boundary_(pzt_.state()) {}
 
 void TxStage::fill_block(std::size_t n, Signal& out) {

@@ -73,15 +73,12 @@ struct NodeFrameEvent {
 /// 230 kHz / 2 MHz), and when the PZT state at a period boundary equals,
 /// bit for bit, the state one period earlier, every later period is the
 /// same. The stage then keeps that period's outputs and states and copies
-/// them instead of computing. A period above kMaxReplayPeriod, or a drive
-/// that never settles, keeps computing. Either way the bytes are the
-/// recurrence's, at any block size and across save/load.
+/// them instead of computing (40 bytes of cycle storage per sample). A
+/// period above dsp::Oscillator::kMaxTablePeriod, or a drive that never
+/// settles, keeps computing. Either way the bytes are the recurrence's, at
+/// any block size and across save/load.
 class TxStage {
  public:
-  /// Longest carrier period, in samples, the stage replays (40 bytes of
-  /// cycle storage per sample).
-  static constexpr std::uint64_t kMaxReplayPeriod = 4096;
-
   explicit TxStage(const reader::TransmitterConfig& config);
 
   /// Produce the next `n` samples of carrier into `out` (resized).
@@ -105,7 +102,7 @@ class TxStage {
 
   dsp::Oscillator osc_;
   phy::RingingPzt pzt_;
-  std::uint64_t period_;  // 0 when above kMaxReplayPeriod
+  std::uint64_t period_;  // 0 when above Oscillator::kMaxTablePeriod
   std::uint64_t since_boundary_ = 0;
   phy::RingingPzt::State boundary_;  // PZT state at the last period boundary
   Signal cycle_;  // the settled period's outputs

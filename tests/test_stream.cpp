@@ -472,7 +472,7 @@ TEST(TxStage, PeriodAboveTheCapNeverReplays) {
   ASSERT_GT(ecocap::dsp::Oscillator(config.carrier.fs,
                                     config.carrier.f_resonant)
                 .period(),
-            ecocap::stream::TxStage::kMaxReplayPeriod);
+            ecocap::dsp::Oscillator::kMaxTablePeriod);
   constexpr std::size_t kTotal = 100 * kCarrierPeriod + 37;
   PlainTx plain(config);
   const Signal ref = plain.next(kTotal);
