@@ -24,7 +24,8 @@ namespace ecocap::dsp::ser {
 /// is Rng::save's text: the MT19937-64 state vector and index plus the
 /// polar normal draw's cached spare variate, byte-for-byte the text
 /// libstdc++ writes for std::mt19937_64 and its normal and uniform
-/// distributions, so checkpoints made with either generator load in both.
+/// distributions, so the record loads in both generators; a spare outside
+/// the polar method's range or text after the state is rejected.
 ///
 /// One field list per type: Writer and Reader share a typed visit surface
 /// (field, expect, value, nested, seq, optional), so a state owner lists
